@@ -40,7 +40,7 @@ func main() {
 		shards    = flag.Int("shards", 1, "heap shards (1 = single heap)")
 		roots     = flag.Int("roots", server.DefaultRoots, "map roots keys spread across")
 		committer = flag.Int("committer", core.DefaultCommitterMaxOps, "group committer epoch cap (0 = default)")
-		linger    = flag.Duration("linger", 50*time.Microsecond, "committer settle-fence collection window")
+		linger    = flag.Duration("linger", 50*time.Microsecond, "floor of the committer's settle-fence collection window, which grows to 2x the measured fence time (0 = no linger)")
 		selective = flag.Bool("selective", false, "selectively persisted structures")
 		nodecache = flag.Bool("nodecache", false, "DRAM node cache")
 		verbose   = flag.Bool("v", false, "log every command")

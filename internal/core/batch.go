@@ -23,7 +23,7 @@ import (
 // the Basic interface is amortized over the batch:
 //
 //	fences/op = 1/B         (batch touches one root)
-//	fences/op = 3/B         (batch touches many roots)
+//	fences/op = 2/B         (batch touches many roots)
 //
 // against 1 fence per operation unbatched.
 //
@@ -37,13 +37,14 @@ import (
 //
 // A batch is all-or-nothing. When one root changed, publication is the
 // usual 8-byte atomic pointer swap. When several changed, the store
-// writes a persistent batch record — the (cell, new version) pairs plus
-// a checksum — makes it durable with the shadows, sets a committed flag
-// (the batch's atomic commit point, one 8-byte write), and only then
-// overwrites the root cells. OpenStore replays a committed record whose
-// checksum validates, so a crash anywhere inside publication recovers
-// either every root swap or none of them; a crash before the commit
-// point recovers none, and the batch's shadows are swept as leaks.
+// writes a persistent undo/redo batch record — the (cell, old version,
+// new version) triples, the batch's sequence number and a checksum —
+// and makes it durable with the shadows (fence A). It then writes the
+// record's status word (the sequence number) and every root swap
+// together, and fence B is the commit point. Recovery redoes the new
+// versions when the durable status matches the record's sequence
+// number and undoes to the old ones otherwise, so a crash anywhere
+// inside publication recovers either every root swap or none of them.
 //
 // # Async durability
 //
@@ -51,10 +52,11 @@ import (
 // hands it to the store's background committer (StartGroupCommitter),
 // which coalesces submissions from any number of goroutines into shared
 // fence epochs and returns a Ticket; Ticket.Wait blocks until the
-// batch's publication is fence-covered, i.e. fully durable. Under load
-// the pipeline needs no extra fences — a group's publication becomes
-// durable under the next group's fence — and an idle committer issues
-// one closing fence.
+// batch's publication is fence-covered, i.e. fully durable. A multi-root
+// group is durable when its fence B returns. A single-root group's swap
+// becomes durable under the next group's fence; when the queue drains,
+// the committer waits a short window for more work (lingerWindow) and
+// then issues one settling fence.
 
 // batchLogRoot names the root slot anchoring the persistent batch
 // record used for multi-root publication.
@@ -62,21 +64,27 @@ const batchLogRoot = "__mod_batchlog"
 
 // Batch record layout (payload offsets):
 //
-//	+0   status   (0 idle; a nonzero batch sequence number = committed —
-//	              the 8-byte status write is the atomic commit point)
-//	+8   count    (number of entries)
-//	+16  checksum (fnv1a over the sequence number, count, and entries)
-//	+24  entries: count × {root cell addr u64, new version addr u64}
+//	+0   status   sequence number of the last batch whose commit point
+//	              was written (0 before the first)
+//	+8   format   batchRecFormat (the earlier redo-only layout kept a
+//	              count of at most MaxBatchRoots here)
+//	+16  seq      the body's own batch sequence number
+//	+24  count    number of entries
+//	+32  checksum fnv1a over seq, count and the entries; 0 = retired
+//	+40  entries: count × {root cell addr, old version, new version}
 //
-// The checksum binds the body to one specific commit: it covers the
-// sequence number that the commit point will write into the status
-// word, so recovery replays only when the durable status, count, and
-// entries all belong to the same batch — independent of how the
-// record's fields straddle cache lines under partial eviction.
+// The body is durable (fence A) before the status word can name its
+// sequence number (fence B), so a body whose checksum validates and
+// whose seq equals the durable status belongs to a batch that reached
+// its commit point; any other valid body belongs to one that did not.
 const (
-	batchStatusIdle   = 0
-	batchRecHdrSize   = 24
-	batchRecEntrySize = 16
+	batchRecFormatOff = 8
+	batchRecSeqOff    = 16
+	batchRecCountOff  = 24
+	batchRecSumOff    = 32
+	batchRecHdrSize   = 40
+	batchRecEntrySize = 24
+	batchRecFormat    = 0x4d4f442d756e646f // "MOD-undo"
 )
 
 // MaxBatchRoots is the most distinct roots one batch commit can change,
@@ -85,10 +93,8 @@ const MaxBatchRoots = 62
 
 const batchRecSize = batchRecHdrSize + MaxBatchRoots*batchRecEntrySize
 
-// batchChecksum hashes the record body (count then the entry words) so
-// recovery can reject a torn record: the checksum is durable before the
-// committed flag, so a record that validates is exactly the one the
-// crashed commit wrote.
+// batchChecksum hashes a record body (sequence number, count, then the
+// entry words) so recovery can reject a torn or retired record.
 func batchChecksum(words []uint64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, w := range words {
@@ -103,46 +109,60 @@ func batchChecksum(words []uint64) uint64 {
 	return h
 }
 
-// recoverBatchRecord replays a committed batch record left by a crash
-// mid-publication, completing the batch's root swaps. Run before the
-// reachability scan so recovery traces the post-batch roots. Returns
-// whether a replay happened.
-func recoverBatchRecord(dev pmem.Backend, rec pmem.Addr) bool {
-	seq := dev.ReadU64(rec)
-	if seq == batchStatusIdle {
-		return false
+// batchRecEntry is one root's change in the batch record.
+type batchRecEntry struct {
+	cell, old, new pmem.Addr
+}
+
+// readBatchRecord decodes the record body. ok is false for a body that
+// fails its checksum: retired (batchChecksum is never 0), torn, or never
+// completed before a crash.
+func readBatchRecord(dev pmem.Backend, rec pmem.Addr) (seq uint64, entries []batchRecEntry, ok bool) {
+	sum := dev.ReadU64(rec + batchRecSumOff)
+	seq = dev.ReadU64(rec + batchRecSeqOff)
+	count := dev.ReadU64(rec + batchRecCountOff)
+	if count < 1 || count > MaxBatchRoots {
+		return 0, nil, false
 	}
-	count := dev.ReadU64(rec + 8)
-	sum := dev.ReadU64(rec + 16)
-	replayed := false
-	if count >= 1 && count <= MaxBatchRoots {
-		words := make([]uint64, 0, 2+2*count)
-		words = append(words, seq, count)
-		for i := uint64(0); i < count; i++ {
-			e := rec + batchRecHdrSize + pmem.Addr(i*batchRecEntrySize)
-			words = append(words, dev.ReadU64(e), dev.ReadU64(e+8))
-		}
-		if batchChecksum(words) == sum {
-			// A validating checksum proves the durable body belongs to
-			// this very status (both were durable before the commit
-			// point could be): redo every root swap — idempotent 8-byte
-			// writes. A mismatch means the status is a stale leftover of
-			// a batch that already completed its swaps, torn against a
-			// later batch's partially durable refill — discard it.
-			for i := uint64(0); i < count; i++ {
-				cell := pmem.Addr(words[2+2*i])
-				val := pmem.Addr(words[3+2*i])
-				dev.WriteAddr(cell, val)
-				dev.Clwb(cell)
+	words := make([]uint64, 0, 2+3*count)
+	words = append(words, seq, count)
+	entries = make([]batchRecEntry, count)
+	for i := range entries {
+		e := rec + batchRecHdrSize + pmem.Addr(i*batchRecEntrySize)
+		entries[i] = batchRecEntry{cell: dev.ReadAddr(e), old: dev.ReadAddr(e + 8), new: dev.ReadAddr(e + 16)}
+		words = append(words, uint64(entries[i].cell), uint64(entries[i].old), uint64(entries[i].new))
+	}
+	if batchChecksum(words) != sum {
+		return 0, nil, false
+	}
+	return seq, entries, true
+}
+
+// recoverBatchRecord finishes a multi-root publication a crash
+// interrupted, before the reachability scan so recovery traces the
+// final roots. A valid body whose sequence number is the durable status
+// reached its commit point: redo its new versions. Any other valid body
+// did not: undo to its old versions. Both are idempotent 8-byte writes,
+// made durable before the record retires.
+func recoverBatchRecord(dev pmem.Backend, rec pmem.Addr) {
+	if dev.ReadU64(rec+batchRecSumOff) == 0 {
+		return // retired: nothing in flight
+	}
+	if seq, entries, ok := readBatchRecord(dev, rec); ok {
+		redone := dev.ReadU64(rec) == seq
+		for _, e := range entries {
+			v := e.old
+			if redone {
+				v = e.new
 			}
-			replayed = true
+			dev.WriteAddr(e.cell, v)
+			dev.Clwb(e.cell)
 		}
+		dev.Sfence() // restored cells durable before the record retires
 	}
-	dev.Sfence() // replayed cells durable before the record is retired
-	dev.WriteU64(rec, batchStatusIdle)
-	dev.Clwb(rec)
+	dev.WriteU64(rec+batchRecSumOff, 0)
+	dev.Clwb(rec + batchRecSumOff)
 	dev.Sfence()
-	return replayed
 }
 
 // batchOp is one deferred update: applied at commit time against the
@@ -321,8 +341,9 @@ func (s *Store) commitAsyncOps(ops []batchOp) *Ticket {
 		// Not running, or a Stop is draining the queue: committing here
 		// keeps the batch from landing on a queue no worker will service.
 		c.mu.Unlock()
-		s.commitBatch(ops)
-		s.heap.Fence()
+		if !s.commitBatch(ops) {
+			s.heap.Fence()
+		}
 		close(t.done)
 		return t
 	}
@@ -410,12 +431,15 @@ func (s *Store) prepareBatch(ops []batchOp) *preparedBatch {
 // publishLocal installs the prepared batch's root changes on its own
 // store: one root changed needs only the atomic pointer swap after the
 // shared fence; several changed go through the persistent batch record
-// so recovery replays all swaps or none.
-func (p *preparedBatch) publishLocal() {
+// so recovery lands on all swaps or none. It reports whether the
+// publication is already durable: true after the multi-root fence B,
+// false when the swap rides the next fence (or nothing changed).
+func (p *preparedBatch) publishLocal() (durable bool) {
 	s := p.s
 	switch {
 	case len(p.changed) == 0:
 		// Nothing to publish or order.
+		return false
 	case len(p.changed) == 1:
 		c := p.changed[0]
 		crown := s.maybeCheckpoint(c.final)
@@ -424,48 +448,52 @@ func (p *preparedBatch) publishLocal() {
 		s.clearCrown(crown)
 		s.heap.SetRoot(c.slot, c.final)
 		s.commitEnd()
-	default:
-		var crown []pmem.Addr
-		for _, c := range p.changed {
-			crown = append(crown, s.maybeCheckpoint(c.final)...)
-		}
-		s.sh.txMu.Lock()
-		s.commitBegin()
-		s.sh.batchSeq++ // serialized by txMu; 0 is reserved for idle
-		seq := s.sh.batchSeq
-		words := make([]uint64, 0, 2+2*len(p.changed))
-		words = append(words, seq, uint64(len(p.changed)))
-		for i, c := range p.changed {
-			cell := s.heap.RootCellAddr(c.slot)
-			e := s.batchRec + batchRecHdrSize + pmem.Addr(i*batchRecEntrySize)
-			s.dev.WriteU64(e, uint64(cell))
-			s.dev.WriteU64(e+8, uint64(c.final))
-			words = append(words, uint64(cell), uint64(c.final))
-		}
-		s.dev.WriteU64(s.batchRec+8, uint64(len(p.changed)))
-		s.dev.WriteU64(s.batchRec+16, batchChecksum(words))
-		s.dev.FlushRange(s.batchRec+8, 16+len(p.changed)*batchRecEntrySize)
-		// Fence A: shadows, record body, and any previous batch's record
-		// retirement are durable. The status word is still idle, so a
-		// crash here recovers none of the batch.
-		s.heap.Fence()
-		// Checkpoint crowns clear (and fence) between A and B: the crown
-		// payloads are durable after fence A, and the clears are durable
-		// before the commit point, so a replayed swap can never point at
-		// a structure whose navigation recovery would zero.
-		s.clearCrown(crown)
-		s.dev.WriteU64(s.batchRec, seq)
-		s.dev.Clwb(s.batchRec)
-		s.dev.Sfence() // fence B: the status write is the commit point
-		for _, c := range p.changed {
-			s.heap.SetRoot(c.slot, c.final)
-		}
-		s.dev.Sfence() // fence C: swaps durable before the record retires
-		s.dev.WriteU64(s.batchRec, batchStatusIdle)
-		s.dev.Clwb(s.batchRec) // durability rides to the next fence
-		s.commitEnd()
-		s.sh.txMu.Unlock()
+		return false
 	}
+	var crown []pmem.Addr
+	for _, c := range p.changed {
+		crown = append(crown, s.maybeCheckpoint(c.final)...)
+	}
+	s.sh.txMu.Lock()
+	defer s.sh.txMu.Unlock()
+	s.commitBegin()
+	s.sh.batchSeq++ // serialized by txMu; above every sequence number on the medium
+	seq := s.sh.batchSeq
+	rec := s.batchRec
+	words := make([]uint64, 0, 2+3*len(p.changed))
+	words = append(words, seq, uint64(len(p.changed)))
+	for i, c := range p.changed {
+		cell := s.heap.RootCellAddr(c.slot)
+		e := rec + batchRecHdrSize + pmem.Addr(i*batchRecEntrySize)
+		s.dev.WriteU64(e, uint64(cell))
+		s.dev.WriteU64(e+8, uint64(c.old))
+		s.dev.WriteU64(e+16, uint64(c.final))
+		words = append(words, uint64(cell), uint64(c.old), uint64(c.final))
+	}
+	s.dev.WriteU64(rec+batchRecSeqOff, seq)
+	s.dev.WriteU64(rec+batchRecCountOff, uint64(len(p.changed)))
+	s.dev.WriteU64(rec+batchRecSumOff, batchChecksum(words))
+	s.dev.FlushRange(rec+batchRecSeqOff, batchRecHdrSize-batchRecSeqOff+len(p.changed)*batchRecEntrySize)
+	// Fence A: shadows, record body, and the previous batch's record
+	// retirement are durable. The status word still names an earlier
+	// batch, so a crash from here to fence B undoes whichever swaps
+	// reached the medium.
+	s.heap.Fence()
+	// Checkpoint crowns clear (and fence) between A and B: the crown
+	// payloads are durable after fence A, and the clears are durable
+	// before the commit point, so a redone swap can never point at a
+	// structure whose navigation recovery would zero.
+	s.clearCrown(crown)
+	s.dev.WriteU64(rec, seq)
+	s.dev.Clwb(rec)
+	for _, c := range p.changed {
+		s.heap.SetRoot(c.slot, c.final)
+	}
+	s.dev.Sfence() // fence B: the commit point; every swap is durable
+	s.dev.WriteU64(rec+batchRecSumOff, 0)
+	s.dev.Clwb(rec + batchRecSumOff) // retirement rides the next fence
+	s.commitEnd()
+	return true
 }
 
 // finish retires every superseded version in one batch, adopts the new
@@ -492,14 +520,16 @@ func (p *preparedBatch) finish() {
 // commitBatch is the group-commit step: apply every op against the
 // current committed versions under the root locks, fence once for the
 // whole epoch, publish all changed roots, and retire every superseded
-// version in one batch.
-func (s *Store) commitBatch(ops []batchOp) {
+// version in one batch. It reports whether the publication is already
+// durable (see publishLocal).
+func (s *Store) commitBatch(ops []batchOp) (durable bool) {
 	if len(ops) == 0 {
-		return
+		return false
 	}
 	p := s.prepareBatch(ops)
-	p.publishLocal()
+	durable = p.publishLocal()
 	p.finish()
+	return durable
 }
 
 // Ticket tracks an asynchronously submitted batch. Wait returns once the
@@ -556,7 +586,7 @@ type committer struct {
 	running bool
 	quit    bool
 	maxOps  int
-	linger  atomic.Int64 // ns to wait for stragglers before a settle fence
+	linger  atomic.Int64 // floor of the collection window, ns; 0 disables lingering
 	wg      sync.WaitGroup
 }
 
@@ -580,12 +610,77 @@ func (c *committer) lingerWait(d time.Duration) bool {
 	}
 }
 
-// SetCommitterLinger sets a collection window for the background
-// committer: when its queue drains with tickets still awaiting a fence,
-// it waits up to d for new submissions before paying the settling
-// fence. Zero (the default) settles immediately — lowest latency, but
-// under network-paced open-loop load arrivals rarely overlap, so every
-// batch gets a private fence epoch. A linger of a few tens of
+// Collection-window tuning (lingerWindow).
+const (
+	// lingerFenceMult is k: the window spans k settle fences, so waiting
+	// for company costs at most about k times the fence it may save.
+	lingerFenceMult = 2
+	// lingerAlpha weights the newest sample in both moving averages. A
+	// slow average follows the long-run hit rate, so a short run of
+	// misses does not stop two producers from sharing fences, while a
+	// lone producer still crosses ½ after about ten misses.
+	lingerAlpha = 1.0 / 16
+	// lingerProbeEvery: while lingering mostly misses, every this-many-th
+	// settle still lingers, so the loop notices when company returns.
+	lingerProbeEvery = 8
+)
+
+// lingerWindow sizes the committer's collection window from what its
+// loop observes. The window is the larger of the configured floor and
+// lingerFenceMult × the moving average of the settle fence's wall time:
+// a few µs at most in the simulator, hundreds of µs under msync, so one
+// constant suits neither. Lingering only pays when submissions do
+// arrive inside the window, so the loop lingers only while the moving
+// average of its linger misses is at most ½; otherwise it settles at
+// once and lingers on every lingerProbeEvery-th settle to re-measure. A
+// lone producer, which submits nothing while it waits for its own
+// ticket, thus stops paying the wait. The zero value starts out
+// lingering; it is owned by the committer goroutine.
+type lingerWindow struct {
+	fenceNs float64 // moving average of settle-fence wall time
+	missEW  float64 // moving average of linger misses (1 = nothing arrived)
+	skipped int     // settles without lingering since the last probe
+}
+
+// next returns how long to linger before the settle fence given the
+// configured floor; 0 means settle at once.
+func (w *lingerWindow) next(floor time.Duration) time.Duration {
+	if floor <= 0 {
+		return 0
+	}
+	if w.missEW > 0.5 {
+		w.skipped++
+		if w.skipped < lingerProbeEvery {
+			return 0
+		}
+	}
+	w.skipped = 0
+	return max(floor, time.Duration(lingerFenceMult*w.fenceNs))
+}
+
+// lingered records whether work arrived inside a window.
+func (w *lingerWindow) lingered(hit bool) {
+	miss := 1.0
+	if hit {
+		miss = 0
+	}
+	w.missEW += lingerAlpha * (miss - w.missEW)
+}
+
+// settled records one settle fence's wall time.
+func (w *lingerWindow) settled(d time.Duration) {
+	w.fenceNs += lingerAlpha * (float64(d) - w.fenceNs)
+}
+
+// SetCommitterLinger sets the floor of the background committer's
+// collection window: when its queue drains with tickets still awaiting
+// a fence, it waits for new submissions before paying the settling
+// fence. The window is the larger of d and twice the committer's
+// measured settle-fence time, and the committer stops lingering while
+// few windows catch a submission (a lone producer never does). Zero (the
+// default) disables lingering and settles immediately — lowest latency,
+// but under network-paced open-loop load arrivals rarely overlap, so
+// every batch gets a private fence epoch. A floor of a few tens of
 // microseconds lets concurrent clients' submissions pile into shared
 // epochs, which is what makes fences/op fall as client concurrency
 // rises. Takes effect immediately, even on a running committer.
@@ -659,22 +754,33 @@ func (s *Store) asyncBarrier() *Ticket {
 }
 
 // committerLoop coalesces queued submissions into group commits. A
-// group's root-pointer swaps become durable under the next group's
-// fence, so tickets close one group late while the pipeline is busy;
-// when the queue drains, one closing fence settles the stragglers.
+// multi-root group is durable when its commit returns, and its tickets
+// close at once. A single-root group's swap becomes durable under the
+// next group's fence, so its tickets close one group late while the
+// pipeline is busy; when the queue drains, the loop lingers for the
+// window lingerWindow sizes and then one settle fence closes the
+// stragglers.
 func (s *Store) committerLoop() {
 	c := &s.sh.com
 	defer c.wg.Done()
-	var pending []*Ticket // published, awaiting a covering fence
+	var (
+		pending []*Ticket // published, awaiting a covering fence
+		win     lingerWindow
+	)
+	resolve := func() {
+		for _, t := range pending {
+			close(t.done)
+		}
+		pending = pending[:0]
+	}
 	settle := func() {
 		if len(pending) == 0 {
 			return
 		}
+		start := time.Now()
 		s.heap.Fence()
-		for _, t := range pending {
-			close(t.done)
-		}
-		pending = nil
+		win.settled(time.Since(start))
+		resolve()
 	}
 	for {
 		c.mu.Lock()
@@ -682,12 +788,16 @@ func (s *Store) committerLoop() {
 			if len(pending) > 0 {
 				// Settle stragglers before sleeping so an idle pipeline
 				// never strands a ticket — but first give imminent
-				// submissions a linger window to ride the next group's
-				// fence instead of forcing a dedicated settle fence.
+				// submissions a window to ride the next group's fence
+				// instead of forcing a dedicated settle fence.
 				c.mu.Unlock()
-				if d := c.linger.Load(); d > 0 && c.lingerWait(time.Duration(d)) {
-					c.mu.Lock()
-					continue
+				if d := win.next(time.Duration(c.linger.Load())); d > 0 {
+					hit := c.lingerWait(d)
+					win.lingered(hit)
+					if hit {
+						c.mu.Lock()
+						continue
+					}
 				}
 				settle()
 				c.mu.Lock()
@@ -717,19 +827,21 @@ func (s *Store) committerLoop() {
 		for _, sub := range subs {
 			ops = append(ops, sub.ops...)
 		}
-		// The group's fence covers the previous group's root swaps. A
-		// group that never fenced (a bare barrier, or all no-op updates)
-		// leaves the previous tickets pending until a later fence.
+		// The group's first fence covers the previous group's root
+		// swaps. A group that never fenced (a bare barrier, or all no-op
+		// updates) leaves the previous tickets pending until a later
+		// fence.
 		f0 := s.dev.FenceSeq()
-		s.commitBatch(ops)
+		durable := s.commitBatch(ops)
 		if s.dev.FenceSeq() > f0 {
-			for _, t := range pending {
-				close(t.done)
-			}
-			pending = pending[:0]
+			resolve()
 		}
 		for _, sub := range subs {
-			pending = append(pending, sub.ticket)
+			if durable {
+				close(sub.ticket.done)
+			} else {
+				pending = append(pending, sub.ticket)
+			}
 		}
 	}
 }

@@ -3,8 +3,11 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/mod-ds/mod/internal/pmem"
 )
@@ -65,7 +68,7 @@ func TestBatchSingleRootOneFence(t *testing.T) {
 	}
 }
 
-func TestBatchMultiRootThreeFences(t *testing.T) {
+func TestBatchMultiRootTwoFences(t *testing.T) {
 	dev, st := newBatchTestStore(t)
 	m, _ := st.Map("m")
 	q, _ := st.Queue("q")
@@ -87,8 +90,8 @@ func TestBatchMultiRootThreeFences(t *testing.T) {
 	b.Commit()
 	d := dev.Stats().Sub(base)
 
-	if d.Fences != 3 {
-		t.Errorf("multi-root batch used %d fences, want 3", d.Fences)
+	if d.Fences != 2 {
+		t.Errorf("multi-root batch used %d fences, want 2", d.Fences)
 	}
 	if m.Len() != 10 || q.Len() != 10 || v.Len() != 10 {
 		t.Fatalf("batch results: map=%d queue=%d vector=%d, want 10 each", m.Len(), q.Len(), v.Len())
@@ -376,11 +379,81 @@ func runBatchCrashRound(t *testing.T, seed uint64) (batchCommitted bool, err err
 }
 
 // TestBatchRecordStaleStatusRejected forges the record-reuse hazard: a
-// stale committed status word durable over a body checksummed for a
-// different sequence number. Recovery must refuse to replay — the body's
-// root swaps belong to a batch that already completed, and replaying
-// them would roll back a later commit onto a released version.
+// durable status word over a retired body. Recovery must ignore the
+// body, whatever the status says — even the body's own sequence number:
+// its batch already completed, and redoing (or undoing) its swaps would
+// roll back a later commit onto a released version.
 func TestBatchRecordStaleStatusRejected(t *testing.T) {
+	for _, forged := range []string{"foreign", "own"} {
+		t.Run(forged, func(t *testing.T) {
+			cfg := pmem.DefaultConfig(64 << 20)
+			cfg.TrackDurable = true
+			dev := pmem.New(cfg)
+			st, err := newStore(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, _ := st.Map("a")
+			q, _ := st.Queue("b")
+			b := st.NewBatch()
+			b.MapSet(m, bkey(1), []byte("v1"))
+			b.QueueEnqueue(q, 1)
+			b.Commit() // multi-root: fills the record body under sequence 1
+			st.Sync()
+			m.Set(bkey(1), []byte("v2")) // supersedes (and releases) the batch's map version
+			st.Sync()
+			if sum := dev.ReadU64(st.batchRec + batchRecSumOff); sum != 0 {
+				t.Fatalf("record not retired after Sync: checksum %#x", sum)
+			}
+
+			status := uint64(4242)
+			if forged == "own" {
+				status = dev.ReadU64(st.batchRec + batchRecSeqOff)
+			}
+			dev.WriteU64(st.batchRec, status)
+			dev.Clwb(st.batchRec)
+			dev.Sfence()
+
+			img := dev.CrashImage(pmem.CrashFencedOnly, 1)
+			st2, _, err := openStore(pmem.NewFromImage(pmem.DefaultConfig(64<<20), img))
+			if err != nil {
+				t.Fatalf("recovery after forged status: %v", err)
+			}
+			m2, _ := st2.Map("a")
+			if v, ok := m2.Get(bkey(1)); !ok || string(v) != "v2" {
+				t.Fatalf("retired batch record replayed: key 1 = %q, %v; want \"v2\"", v, ok)
+			}
+			q2, _ := st2.Queue("b")
+			if q2.Len() != 1 {
+				t.Fatalf("queue has %d entries after recovery, want 1", q2.Len())
+			}
+		})
+	}
+}
+
+// fenceImages is a Tracer that captures a fenced-only crash image after
+// every fence: the medium exactly as that fence left it.
+type fenceImages struct {
+	dev  *pmem.Device
+	imgs [][]byte
+}
+
+func (f *fenceImages) Fence(int) { f.imgs = append(f.imgs, f.dev.CrashImage(pmem.CrashFencedOnly, 0)) }
+
+func (*fenceImages) Alloc(pmem.Addr, uint64, uint8) {}
+func (*fenceImages) Free(pmem.Addr, uint64)         {}
+func (*fenceImages) Write(pmem.Addr, int)           {}
+func (*fenceImages) Flush(uint64)                   {}
+func (*fenceImages) FASEBegin()                     {}
+func (*fenceImages) FASEEnd()                       {}
+func (*fenceImages) CommitBegin()                   {}
+func (*fenceImages) CommitEnd()                     {}
+
+// twoFenceBatch commits one multi-root batch (a map overwrite, an
+// enqueue and a vector push) over a prepared store and returns the
+// fenced-only images after fence A and after fence B, plus the store.
+func twoFenceBatch(t *testing.T) (st *Store, afterA, afterB []byte) {
+	t.Helper()
 	cfg := pmem.DefaultConfig(64 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
@@ -388,36 +461,252 @@ func TestBatchRecordStaleStatusRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := st.Map("a")
-	q, _ := st.Queue("b")
+	m, _ := st.Map("m")
+	q, _ := st.Queue("q")
+	v, _ := st.Vector("v")
+	m.Set(bkey(1), []byte("old"))
+	q.Enqueue(1)
+	// An earlier multi-root batch leaves a retired body and a nonzero
+	// status in the record.
 	b := st.NewBatch()
-	b.MapSet(m, bkey(1), []byte("v1"))
-	b.QueueEnqueue(q, 1)
-	b.Commit() // multi-root: fills the record body under sequence 1
-	st.Sync()
-	m.Set(bkey(1), []byte("v2")) // supersedes (and releases) the batch's map version
+	b.MapSet(m, bkey(2), []byte("pre"))
+	b.VectorPush(v, 1)
+	b.Commit()
 	st.Sync()
 
-	// Forge a durable committed status that does not match the retired
-	// body's checksummed sequence number.
-	dev.WriteU64(st.batchRec, 4242)
-	dev.Clwb(st.batchRec)
-	dev.Sfence()
+	cap := &fenceImages{dev: dev}
+	dev.SetTracer(cap)
+	b = st.NewBatch()
+	b.MapSet(m, bkey(1), []byte("new"))
+	b.QueueEnqueue(q, 2)
+	b.VectorPush(v, 2)
+	b.Commit()
+	dev.SetTracer(nil)
+	if len(cap.imgs) != 2 {
+		t.Fatalf("multi-root batch fenced %d times, want 2", len(cap.imgs))
+	}
+	return st, cap.imgs[0], cap.imgs[1]
+}
 
-	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
-	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
+// batchOutcome reopens img and reports whether the batch of
+// twoFenceBatch is absent (false) or present (true) in every root,
+// failing on any mixture.
+func batchOutcome(t *testing.T, img []byte) bool {
+	t.Helper()
+	st, _, err := openStore(pmem.NewFromImage(pmem.DefaultConfig(64<<20), img))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	m, _ := st.Map("m")
+	q, _ := st.Queue("q")
+	v, _ := st.Vector("v")
+	val, _ := m.Get(bkey(1))
+	got := [3]bool{string(val) == "new", q.Len() == 2, v.Len() == 2}
+	wantOld := [3]bool{string(val) == "old", q.Len() == 1, v.Len() == 1}
+	if got != [3]bool{true, true, true} && wantOld != [3]bool{true, true, true} {
+		t.Fatalf("batch torn: map=%q queue=%d vector=%d", val, q.Len(), v.Len())
+	}
+	if pre, ok := m.Get(bkey(2)); !ok || string(pre) != "pre" {
+		t.Fatalf("earlier batch lost: key 2 = %q, %v", pre, ok)
+	}
+	if sum := st.dev.ReadU64(st.batchRec + batchRecSumOff); sum != 0 {
+		t.Fatalf("record not retired by recovery: checksum %#x", sum)
+	}
+	return got[0]
+}
+
+// TestBatchCrashBetweenFences crashes between fence A and fence B with
+// every subset of the words written there — the status word and each
+// root swap — durable, at word granularity (finer than any medium).
+// Recovery must give all-old without the status and all-new with it.
+func TestBatchCrashBetweenFences(t *testing.T) {
+	st, afterA, afterB := twoFenceBatch(t)
+	var words []int
+	for off := 0; off < len(afterA); off += 8 {
+		if binary.LittleEndian.Uint64(afterA[off:]) != binary.LittleEndian.Uint64(afterB[off:]) {
+			words = append(words, off)
+		}
+	}
+	status := int(st.batchRec)
+	if len(words) != 4 || !slices.Contains(words, status) {
+		t.Fatalf("words written between the fences at %v, want the status word %#x and 3 root cells", words, status)
+	}
+	for mask := 0; mask < 1<<len(words); mask++ {
+		img := slices.Clone(afterA)
+		withStatus := false
+		for i, off := range words {
+			if mask&(1<<i) != 0 {
+				copy(img[off:off+8], afterB[off:off+8])
+				withStatus = withStatus || off == status
+			}
+		}
+		if got := batchOutcome(t, img); got != withStatus {
+			t.Errorf("subset %04b: recovered batch=%v, want %v (status durable=%v)", mask, got, withStatus, withStatus)
+		}
+	}
+}
+
+// TestBatchCrashAfterCommitPoint crashes after fence B, before the
+// record's retirement is durable: recovery redoes the swaps (already
+// durable, so the redo is idempotent) and gives all-new.
+func TestBatchCrashAfterCommitPoint(t *testing.T) {
+	st, _, afterB := twoFenceBatch(t)
+	if sum := binary.LittleEndian.Uint64(afterB[st.batchRec+batchRecSumOff:]); sum == 0 {
+		t.Fatal("retirement durable at fence B; want it to ride the next fence")
+	}
+	if !batchOutcome(t, afterB) {
+		t.Fatal("batch lost after its commit point")
+	}
+	// Retired too: the body is ignored and the swaps stand.
+	st.Sync()
+	if !batchOutcome(t, st.dev.(*pmem.Device).CrashImage(pmem.CrashFencedOnly, 0)) {
+		t.Fatal("batch lost after retirement")
+	}
+}
+
+// TestBatchSeqResumesAboveMedium: a reopened store numbers its batches
+// above every sequence number on the medium. Reusing the durable
+// status's number would let a body made durable early by eviction, over
+// shadows that are not, pass for a committed batch.
+func TestBatchSeqResumesAboveMedium(t *testing.T) {
+	cfg := pmem.DefaultConfig(64 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	st, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := st.Map("m")
+	q, _ := st.Queue("q")
+	for i := 0; i < 3; i++ {
+		b := st.NewBatch()
+		b.MapSet(m, bkey(i), bkey(i))
+		b.QueueEnqueue(q, uint64(i))
+		b.Commit()
+	}
+	st.Sync()
+	status := dev.ReadU64(st.batchRec)
+
+	dev2 := pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 0))
 	st2, _, err := openStore(dev2)
 	if err != nil {
-		t.Fatalf("recovery after stale status: %v", err)
+		t.Fatal(err)
 	}
-	m2, _ := st2.Map("a")
-	if v, ok := m2.Get(bkey(1)); !ok || string(v) != "v2" {
-		t.Fatalf("stale batch record replayed: key 1 = %q, %v; want \"v2\"", v, ok)
+	m2, _ := st2.Map("m")
+	q2, _ := st2.Queue("q")
+	b := st2.NewBatch()
+	b.MapSet(m2, bkey(9), bkey(9))
+	b.QueueEnqueue(q2, 9)
+	b.Commit()
+	if seq := dev2.ReadU64(st2.batchRec + batchRecSeqOff); seq <= status {
+		t.Fatalf("first batch after reopen has sequence number %d, want above the durable status %d", seq, status)
 	}
-	q2, _ := st2.Queue("b")
-	if q2.Len() != 1 {
-		t.Fatalf("queue has %d entries after recovery, want 1", q2.Len())
+}
+
+// TestBatchAsyncMultiRootTwoFences: a lone multi-root CommitAsync is
+// durable at its fence B, so its ticket resolves after exactly two
+// device fences, with no settle fence behind it.
+func TestBatchAsyncMultiRootTwoFences(t *testing.T) {
+	dev, st := newBatchTestStore(t)
+	m, _ := st.Map("m")
+	q, _ := st.Queue("q")
+	st.Sync()
+	st.StartGroupCommitter(0)
+	defer st.StopGroupCommitter()
+
+	base := dev.Stats()
+	b := st.NewBatch()
+	b.MapSet(m, bkey(1), bkey(1))
+	b.QueueEnqueue(q, 1)
+	tk := b.CommitAsync()
+	tk.Wait()
+	if err := tk.Err(); err != nil {
+		t.Fatal(err)
 	}
+	if d := dev.Stats().Sub(base); d.Fences != 2 {
+		t.Errorf("lone multi-root CommitAsync resolved after %d fences, want 2", d.Fences)
+	}
+}
+
+// TestBatchRecordOldLayoutIdle: a store whose batch record has the
+// earlier redo-only layout and is idle opens, with a new-layout record
+// in its place that commits and recovers multi-root batches.
+func TestBatchRecordOldLayoutIdle(t *testing.T) {
+	cfg := pmem.DefaultConfig(64 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	st, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := st.Map("m")
+	m.Set(bkey(1), []byte("kept"))
+	st.Sync()
+	writeOldBatchRecord(dev, st.batchRec, 0)
+
+	img := dev.CrashImage(pmem.CrashFencedOnly, 0)
+	cfg2 := pmem.DefaultConfig(64 << 20)
+	cfg2.TrackDurable = true
+	dev2 := pmem.NewFromImage(cfg2, img)
+	st2, _, err := openStore(dev2)
+	if err != nil {
+		t.Fatalf("open with an idle old-layout record: %v", err)
+	}
+	if f := dev2.ReadU64(st2.batchRec + batchRecFormatOff); f != batchRecFormat {
+		t.Fatalf("record format word %#x after open, want %#x", f, uint64(batchRecFormat))
+	}
+	m2, _ := st2.Map("m")
+	if v, ok := m2.Get(bkey(1)); !ok || string(v) != "kept" {
+		t.Fatalf("key 1 = %q, %v; want \"kept\"", v, ok)
+	}
+	q2, _ := st2.Queue("q")
+	b := st2.NewBatch()
+	b.MapSet(m2, bkey(2), []byte("new"))
+	b.QueueEnqueue(q2, 2)
+	b.Commit()
+	st2.Sync()
+	st3, _, err := openStore(pmem.NewFromImage(pmem.DefaultConfig(64<<20), dev2.CrashImage(pmem.CrashFencedOnly, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m3, _ := st3.Map("m")
+	q3, _ := st3.Queue("q")
+	if _, ok := m3.Get(bkey(2)); !ok || q3.Len() != 1 {
+		t.Fatalf("batch after the layout change lost: key 2 present=%v queue=%d", ok, q3.Len())
+	}
+}
+
+// TestBatchRecordOldLayoutPending: an old-layout record holding an
+// unfinished batch fails the open with a descriptive error rather than
+// being replayed by a second code path.
+func TestBatchRecordOldLayoutPending(t *testing.T) {
+	cfg := pmem.DefaultConfig(64 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	st, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Sync()
+	writeOldBatchRecord(dev, st.batchRec, 7)
+	_, _, err = openStore(pmem.NewFromImage(pmem.DefaultConfig(64<<20), dev.CrashImage(pmem.CrashFencedOnly, 0)))
+	if err == nil || !strings.Contains(err.Error(), "redo-only layout") {
+		t.Fatalf("open with a pending old-layout record: err = %v, want the layout error", err)
+	}
+}
+
+// writeOldBatchRecord rewrites rec in the earlier redo-only layout
+// (status, count, checksum, then 16-byte {cell, new} entries) with the
+// given status, durably.
+func writeOldBatchRecord(dev *pmem.Device, rec pmem.Addr, status uint64) {
+	dev.WriteU64(rec, status)
+	dev.WriteU64(rec+8, 2)
+	dev.WriteU64(rec+16, 0x1234)
+	for i := pmem.Addr(0); i < 4; i++ {
+		dev.WriteU64(rec+24+8*i, 0)
+	}
+	dev.FlushRange(rec, 56)
+	dev.Sfence()
 }
 
 // TestBatchSyncBarrier: Sync with an active committer must drain queued
@@ -435,5 +724,69 @@ func TestBatchSyncBarrier(t *testing.T) {
 	st.Sync()
 	if got := m.Len(); got != 100 {
 		t.Fatalf("after Sync map has %d entries, want 100", got)
+	}
+}
+
+// TestLingerWindowLoneProducer: a producer that never submits while its
+// ticket is pending misses every window, so the committer soon lingers
+// only on every lingerProbeEvery-th settle — and goes back to lingering
+// on every settle once windows catch submissions again.
+func TestLingerWindowLoneProducer(t *testing.T) {
+	var w lingerWindow
+	const floor = 50 * time.Microsecond
+	lingers := 0
+	for i := 0; i < 240; i++ {
+		d := w.next(floor)
+		if d > 0 {
+			w.lingered(false)
+		}
+		w.settled(100 * time.Microsecond)
+		if i == 0 && d == 0 {
+			t.Fatal("a fresh window does not linger")
+		}
+		if i >= 80 && d > 0 {
+			lingers++
+		}
+	}
+	if want := 160 / lingerProbeEvery; lingers != want {
+		t.Errorf("lone producer: lingered on %d of the last 160 settles, want %d", lingers, want)
+	}
+	lingers = 0
+	for i := 0; i < 200; i++ {
+		d := w.next(floor)
+		if d > 0 {
+			w.lingered(true)
+		}
+		if i >= 150 && d > 0 {
+			lingers++
+		}
+	}
+	if lingers != 50 {
+		t.Errorf("after company returns: lingered on %d of the last 50 settles, want all", lingers)
+	}
+}
+
+// TestLingerWindowFloor: the window is k × the measured settle fence,
+// never below the configured floor, and a floor of 0 never lingers.
+func TestLingerWindowFloor(t *testing.T) {
+	var w lingerWindow
+	const floor = 50 * time.Microsecond
+	for i := 0; i < 20; i++ {
+		w.settled(100 * time.Nanosecond) // the simulator's fence
+	}
+	if d := w.next(floor); d != floor {
+		t.Errorf("window over 100 ns fences = %v, want the %v floor", d, floor)
+	}
+	for i := 0; i < 200; i++ {
+		w.settled(300 * time.Microsecond) // an msync
+	}
+	if d, want := w.next(floor), lingerFenceMult*300*time.Microsecond; d < want-time.Microsecond || d > want+time.Microsecond {
+		t.Errorf("window over 300 µs fences = %v, want about %v", d, want)
+	}
+	for i := 0; i < 20; i++ {
+		w.lingered(true)
+		if d := w.next(0); d != 0 {
+			t.Fatalf("floor 0 lingered %v", d)
+		}
 	}
 }

@@ -197,10 +197,12 @@ func WithCommitter(maxOps int) Option {
 	}
 }
 
-// WithCommitterLinger sets the committers' settle-fence collection
-// window (see Store.SetCommitterLinger): under request/response-paced
-// load a few tens of microseconds of linger is what lets concurrent
-// clients share fence epochs. Implies nothing unless a committer runs.
+// WithCommitterLinger sets the floor of the committers' settle-fence
+// collection window (see Store.SetCommitterLinger); the window itself
+// grows to twice the measured settle-fence time. Under
+// request/response-paced load a floor of a few tens of microseconds is
+// what lets concurrent clients share fence epochs. Zero disables
+// lingering. Implies nothing unless a committer runs.
 func WithCommitterLinger(d time.Duration) Option {
 	return func(o *options) { o.committerLinger = d }
 }
@@ -412,8 +414,8 @@ func openDevices(db *DB, info *RecoveryInfo, o *options) error {
 	return nil
 }
 
-// SetCommitterLinger sets the settle-fence collection window on every
-// committer (see Store.SetCommitterLinger).
+// SetCommitterLinger sets the floor of every committer's settle-fence
+// collection window (see Store.SetCommitterLinger).
 func (db *DB) SetCommitterLinger(d time.Duration) {
 	if db.store != nil {
 		db.store.SetCommitterLinger(d)

@@ -25,7 +25,7 @@ import (
 // the sharded store is an ordinary single-store handle on its shard, so
 // single-shard operations keep today's cost exactly: a Basic update is
 // one FASE with one fence, a single-shard batch commits through its
-// shard's 1-fence (single root) or 3-fence (batch record) path.
+// shard's 1-fence (single root) or 2-fence (batch record) path.
 //
 // # Cross-shard atomicity: the shard manifest
 //
@@ -530,8 +530,8 @@ func (ss *ShardedStore) StopGroupCommitters() {
 	}
 }
 
-// SetCommitterLinger sets every shard committer's settle-fence
-// collection window (see Store.SetCommitterLinger).
+// SetCommitterLinger sets the floor of every shard committer's
+// settle-fence collection window (see Store.SetCommitterLinger).
 func (ss *ShardedStore) SetCommitterLinger(d time.Duration) {
 	for _, s := range ss.shards {
 		s.SetCommitterLinger(d)
@@ -591,7 +591,7 @@ func (ss *ShardedStore) shardOf(ds Datastructure) int {
 
 // ShardedBatch accumulates updates for one commit across any number of
 // shards. Updates that land on a single shard commit through that
-// shard's ordinary group-commit paths (1 fence single-root, 3 fences
+// shard's ordinary group-commit paths (1 fence single-root, 2 fences
 // multi-root); updates spanning shards commit atomically through the
 // shard manifest. A ShardedBatch is not safe for concurrent use.
 type ShardedBatch struct {
@@ -710,7 +710,7 @@ func (ss *ShardedStore) commitSharded(per map[int][]batchOp) {
 	sort.Ints(order)
 	if len(order) == 1 {
 		// Everything on one shard: the shard's own publication paths
-		// already give batch atomicity at 1 or 3 fences.
+		// already give batch atomicity at 1 or 2 fences.
 		ss.shards[order[0]].commitBatch(per[order[0]])
 		return
 	}

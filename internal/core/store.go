@@ -135,9 +135,11 @@ func newBatchRecord(dev pmem.Backend, heap *alloc.Heap) (pmem.Addr, error) {
 		return pmem.Nil, fmt.Errorf("core: anchoring batch record: %w", err)
 	}
 	rec := heap.Alloc(batchRecSize, 0)
-	dev.WriteU64(rec, batchStatusIdle)
-	dev.WriteU64(rec+8, 0)
-	dev.WriteU64(rec+16, 0)
+	dev.WriteU64(rec, 0)
+	dev.WriteU64(rec+batchRecFormatOff, batchRecFormat)
+	dev.WriteU64(rec+batchRecSeqOff, 0)
+	dev.WriteU64(rec+batchRecCountOff, 0)
+	dev.WriteU64(rec+batchRecSumOff, 0)
 	dev.FlushRange(rec, batchRecHdrSize)
 	heap.SetRoot(slot, rec)
 	return rec, nil
@@ -149,18 +151,19 @@ func newBatchRecord(dev pmem.Backend, heap *alloc.Heap) (pmem.Addr, error) {
 // runs in parallel across shards), and the final handle construction
 // (finishOpen).
 type storeAttachment struct {
-	dev     pmem.Backend
-	heap    *alloc.Heap
-	logAddr pmem.Addr
-	rec     pmem.Addr
+	dev      pmem.Backend
+	heap     *alloc.Heap
+	logAddr  pmem.Addr
+	rec      pmem.Addr
+	batchSeq uint64 // highest batch sequence number on the medium
 }
 
 // attachStore opens the heap on dev and replays the durable commit
 // machinery: a group commit interrupted mid-publication (all-or-nothing:
-// a committed batch record completes every root swap; an uncommitted one
-// is discarded) and an interrupted CommitUnrelated transaction, both
-// before reachability tracing so recovery sees the final roots. The
-// reachability scan itself is left to the caller.
+// the batch record redoes or undoes every root swap) and an interrupted
+// CommitUnrelated transaction, both before reachability tracing so
+// recovery sees the final roots. The reachability scan itself is left
+// to the caller.
 func attachStore(dev pmem.Backend) (*storeAttachment, error) {
 	heap, err := alloc.Open(dev)
 	if err != nil {
@@ -175,20 +178,33 @@ func attachStore(dev pmem.Backend) (*storeAttachment, error) {
 	if logAddr == pmem.Nil {
 		return nil, fmt.Errorf("core: store has no commit log root")
 	}
-	rec := pmem.Nil
+	a := &storeAttachment{dev: dev, heap: heap, logAddr: logAddr}
 	if recSlot, err := heap.RootSlot(batchLogRoot); err == nil {
-		rec = heap.Root(recSlot)
+		a.rec = heap.Root(recSlot)
+		if a.rec != pmem.Nil && dev.ReadU64(a.rec+batchRecFormatOff) != batchRecFormat {
+			// The earlier redo-only layout: 16-byte entries in a smaller
+			// record. An idle one holds nothing; unanchor it so the
+			// reachability scan reclaims it and finishOpen formats a
+			// new-layout record in its place.
+			if status := dev.ReadU64(a.rec); status != 0 {
+				return nil, fmt.Errorf("core: batch record at %#x uses the earlier redo-only layout and holds an unfinished batch (status %d); recover the image with the release that wrote it before opening it here", uint64(a.rec), status)
+			}
+			heap.SetRoot(recSlot, pmem.Nil)
+			a.rec = pmem.Nil
+		}
 	}
-	if rec != pmem.Nil {
-		recoverBatchRecord(dev, rec)
+	if a.rec != pmem.Nil {
+		recoverBatchRecord(dev, a.rec)
+		a.batchSeq = max(dev.ReadU64(a.rec), dev.ReadU64(a.rec+batchRecSeqOff))
 	}
 	stm.Recover(dev, logAddr)
-	return &storeAttachment{dev: dev, heap: heap, logAddr: logAddr, rec: rec}, nil
+	return a, nil
 }
 
 // finishOpen builds the Store handle once recovery has rebuilt the
 // heap's volatile state, creating the batch record if the image
-// predates group commit.
+// predates group commit or carried an idle record of the earlier
+// layout.
 func (a *storeAttachment) finishOpen() (*Store, error) {
 	if a.rec == pmem.Nil {
 		rec, err := newBatchRecord(a.dev, a.heap)
@@ -199,7 +215,7 @@ func (a *storeAttachment) finishOpen() (*Store, error) {
 		a.rec = rec
 	}
 	tx := stm.Attach(a.dev, a.heap, stm.ModeV15, a.logAddr, stm.DefaultLogSize)
-	return &Store{dev: a.dev, heap: a.heap, tx: tx, batchRec: a.rec, sh: &storeShared{}}, nil
+	return &Store{dev: a.dev, heap: a.heap, tx: tx, batchRec: a.rec, sh: &storeShared{batchSeq: a.batchSeq}}, nil
 }
 
 // openStore attaches to a previously formatted device, rolling back any

@@ -28,7 +28,7 @@ func GroupCommitBenchConfig(scale Scale, batchSize, shards int) workloads.GroupC
 
 // GroupCommit measures fences/op and throughput as the batch size grows:
 // the whole point of group commit is that one flush+sfence epoch covers
-// B operations, so fences/op falls as 1/B (single root) or 3/B (batch
+// B operations, so fences/op falls as 1/B (single root) or 2/B (batch
 // record across roots) while throughput climbs. The final row repeats
 // the largest batch through the async background committer with
 // concurrent producers, for information.

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -355,13 +356,8 @@ func lineRuns(order []uint64) [][2]uint64 {
 	if len(order) == 0 {
 		return nil
 	}
-	sorted := append([]uint64(nil), order...)
-	// Small sets; insertion sort avoids pulling in sort for a hot path.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(order)
+	slices.Sort(sorted)
 	var runs [][2]uint64
 	start, end := sorted[0], sorted[0]+1
 	for _, ln := range sorted[1:] {

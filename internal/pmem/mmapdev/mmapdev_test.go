@@ -118,6 +118,15 @@ func TestLineRuns(t *testing.T) {
 		{[]uint64{5}, [][2]uint64{{5, 6}}},
 		{[]uint64{7, 5, 6}, [][2]uint64{{5, 8}}},
 		{[]uint64{9, 2, 3, 8}, [][2]uint64{{2, 4}, {8, 10}}},
+		// Unsorted, with gaps of one line and more.
+		{[]uint64{40, 10, 30, 12, 20}, [][2]uint64{{10, 11}, {12, 13}, {20, 21}, {30, 31}, {40, 41}}},
+		// Duplicates inside and at the ends of a run.
+		{[]uint64{4, 4, 3, 5, 3, 5, 5}, [][2]uint64{{3, 6}}},
+		{[]uint64{9, 9}, [][2]uint64{{9, 10}}},
+		// Adjacent lines given in descending order join one run.
+		{[]uint64{104, 103, 102, 101, 100, 50}, [][2]uint64{{50, 51}, {100, 105}}},
+		// A run of many lines noted in scrambled order.
+		{scrambledLines(0, 300), [][2]uint64{{0, 300}}},
 	} {
 		got := lineRuns(tc.in)
 		if len(got) != len(tc.want) {
@@ -129,6 +138,16 @@ func TestLineRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scrambledLines returns the lines [lo, hi) in a fixed non-monotonic
+// order.
+func scrambledLines(lo, hi uint64) []uint64 {
+	out := make([]uint64, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, lo+(i-lo)*7%(hi-lo))
+	}
+	return out
 }
 
 func TestCasAddrPublication(t *testing.T) {

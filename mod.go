@@ -205,9 +205,10 @@ func WithExistingImages(imgs [][]byte) Option { return core.WithExistingImages(i
 // the default epoch cap).
 func WithCommitter(maxOps int) Option { return core.WithCommitter(maxOps) }
 
-// WithCommitterLinger sets the committers' settle-fence collection
-// window, letting request/response-paced concurrent clients share
-// fence epochs (DESIGN.md §11).
+// WithCommitterLinger sets the floor of the committers' settle-fence
+// collection window, which otherwise spans twice the measured fence
+// cost, letting request/response-paced concurrent clients share fence
+// epochs (DESIGN.md §7, §11).
 func WithCommitterLinger(d time.Duration) Option { return core.WithCommitterLinger(d) }
 
 // WithVerify walks every root at open, verifying node checksums, and
