@@ -139,7 +139,9 @@ func main() {
 // store.pm for a single heap, or shard0.pm..shardN-1.pm plus meta.pm
 // when sharded. If the first file already exists the store attaches
 // (runs recovery) instead of formatting, so data survives restarts.
-// The layout is fixed per directory — reopen with the same -shards.
+// The layout is fixed per directory: a -shards that does not match the
+// files already there is refused rather than starting an empty store
+// beside them.
 func openFileBacked(dir string, size int64, shards int, opts []core.Option) (*core.DB, core.RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, core.RecoveryInfo{}, err
@@ -152,6 +154,13 @@ func openFileBacked(dir string, size int64, shards int, opts []core.Option) (*co
 			paths = append(paths, filepath.Join(dir, fmt.Sprintf("shard%d.pm", i)))
 		}
 		paths = append(paths, filepath.Join(dir, "meta.pm"))
+	}
+	other := filepath.Join(dir, "shard0.pm")
+	if shards > 1 {
+		other = filepath.Join(dir, "store.pm")
+	}
+	if _, err := os.Stat(other); err == nil {
+		return nil, core.RecoveryInfo{}, fmt.Errorf("%s holds a store of another layout: reopen with the -shards it was created with", other)
 	}
 	_, statErr := os.Stat(paths[0])
 	attach := statErr == nil

@@ -335,10 +335,11 @@ func runBatchCrashRound(t *testing.T, seed uint64) (batchCommitted bool, err err
 	}
 
 	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	st2, _, err := openStore(dev2)
+	db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		return false, fmt.Errorf("recovery: %w", err)
 	}
+	st2 := db2.Store()
 	m2, _ := st2.Map("m")
 	q2, _ := st2.Queue("q")
 
@@ -415,10 +416,11 @@ func TestBatchRecordStaleStatusRejected(t *testing.T) {
 			dev.Sfence()
 
 			img := dev.CrashImage(pmem.CrashFencedOnly, 1)
-			st2, _, err := openStore(pmem.NewFromImage(pmem.DefaultConfig(64<<20), img))
+			db2, _, err := Open(pmem.DefaultConfig(64<<20), WithExistingImages([][]byte{img}))
 			if err != nil {
 				t.Fatalf("recovery after forged status: %v", err)
 			}
+			st2 := db2.Store()
 			m2, _ := st2.Map("a")
 			if v, ok := m2.Get(bkey(1)); !ok || string(v) != "v2" {
 				t.Fatalf("retired batch record replayed: key 1 = %q, %v; want \"v2\"", v, ok)
@@ -493,10 +495,11 @@ func twoFenceBatch(t *testing.T) (st *Store, afterA, afterB []byte) {
 // failing on any mixture.
 func batchOutcome(t *testing.T, img []byte) bool {
 	t.Helper()
-	st, _, err := openStore(pmem.NewFromImage(pmem.DefaultConfig(64<<20), img))
+	db, _, err := Open(pmem.DefaultConfig(64<<20), WithExistingImages([][]byte{img}))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
+	st := db.Store()
 	m, _ := st.Map("m")
 	q, _ := st.Queue("q")
 	v, _ := st.Vector("v")
@@ -588,10 +591,11 @@ func TestBatchSeqResumesAboveMedium(t *testing.T) {
 	status := dev.ReadU64(st.batchRec)
 
 	dev2 := pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 0))
-	st2, _, err := openStore(dev2)
+	db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		t.Fatal(err)
 	}
+	st2 := db2.Store()
 	m2, _ := st2.Map("m")
 	q2, _ := st2.Queue("q")
 	b := st2.NewBatch()
@@ -648,10 +652,11 @@ func TestBatchRecordOldLayoutIdle(t *testing.T) {
 	cfg2 := pmem.DefaultConfig(64 << 20)
 	cfg2.TrackDurable = true
 	dev2 := pmem.NewFromImage(cfg2, img)
-	st2, _, err := openStore(dev2)
+	db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		t.Fatalf("open with an idle old-layout record: %v", err)
 	}
+	st2 := db2.Store()
 	if f := dev2.ReadU64(st2.batchRec + batchRecFormatOff); f != batchRecFormat {
 		t.Fatalf("record format word %#x after open, want %#x", f, uint64(batchRecFormat))
 	}
@@ -665,10 +670,11 @@ func TestBatchRecordOldLayoutIdle(t *testing.T) {
 	b.QueueEnqueue(q2, 2)
 	b.Commit()
 	st2.Sync()
-	st3, _, err := openStore(pmem.NewFromImage(pmem.DefaultConfig(64<<20), dev2.CrashImage(pmem.CrashFencedOnly, 0)))
+	db3, _, err := Open(pmem.DefaultConfig(64<<20), WithExistingImages([][]byte{dev2.CrashImage(pmem.CrashFencedOnly, 0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	st3 := db3.Store()
 	m3, _ := st3.Map("m")
 	q3, _ := st3.Queue("q")
 	if _, ok := m3.Get(bkey(2)); !ok || q3.Len() != 1 {
@@ -689,7 +695,7 @@ func TestBatchRecordOldLayoutPending(t *testing.T) {
 	}
 	st.Sync()
 	writeOldBatchRecord(dev, st.batchRec, 7)
-	_, _, err = openStore(pmem.NewFromImage(pmem.DefaultConfig(64<<20), dev.CrashImage(pmem.CrashFencedOnly, 0)))
+	_, _, err = Open(pmem.DefaultConfig(64<<20), WithExistingImages([][]byte{dev.CrashImage(pmem.CrashFencedOnly, 0)}))
 	if err == nil || !strings.Contains(err.Error(), "redo-only layout") {
 		t.Fatalf("open with a pending old-layout record: err = %v, want the layout error", err)
 	}

@@ -310,10 +310,11 @@ func TestCommitUnrelatedCrashAtomicAcrossSeeds(t *testing.T) {
 		img := dev.CrashImage(pmem.CrashEvictRandom, seed)
 
 		dev2 := pmem.NewFromImage(pmem.DefaultConfig(16<<20), img)
-		s2nd, _, err := openStore(dev2)
+		db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		s2nd := db2.Store()
 		v1b, _ := s2nd.Vector("v1")
 		v2b, _ := s2nd.Vector("v2")
 		if v1b.Len() != 1 || v2b.Len() != 1 {
@@ -345,10 +346,11 @@ func TestCommitUnrelatedCompletedSurvivesCrash(t *testing.T) {
 
 	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
 	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	s2nd, _, err := openStore(dev2)
+	db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2nd := db2.Store()
 	v1b, _ := s2nd.Vector("v1")
 	v2b, _ := s2nd.Vector("v2")
 	if v1b.Len() != 2 || v2b.Len() != 2 {

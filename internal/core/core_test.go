@@ -127,10 +127,11 @@ func TestHandleRebindAfterReopen(t *testing.T) {
 	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
 
 	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	s2, _, err := openStore(dev2)
+	db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2 := db2.Store()
 	m2, err := s2.Map("m")
 	if err != nil {
 		t.Fatal(err)
@@ -162,11 +163,12 @@ func TestCrashMidFASEKeepsOldVersionAndReclaimsLeaks(t *testing.T) {
 	img := dev.CrashImage(pmem.CrashEvictRandom, 7)
 
 	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	s2, rs, err := openStore(dev2)
+	db2, info, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.LeakedBlocks == 0 {
+	s2 := db2.Store()
+	if info.Stats.LeakedBlocks == 0 {
 		t.Fatal("interrupted FASE should leak blocks for recovery to sweep")
 	}
 	m2, _ := s2.Map("m")
@@ -199,10 +201,11 @@ func TestCrashAtEveryPointMapIsAtomic(t *testing.T) {
 		img := dev.CrashImage(pmem.CrashEvictRandom, seed)
 
 		dev2 := pmem.NewFromImage(pmem.DefaultConfig(32<<20), img)
-		s2, _, err := openStore(dev2)
+		db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		s2 := db2.Store()
 		m2, _ := s2.Map("m")
 		if got := int(m2.Len()); got != committed {
 			t.Fatalf("seed %d: recovered %d entries, want %d", seed, got, committed)
@@ -293,10 +296,11 @@ func TestCommitSiblingsCrashAtomicity(t *testing.T) {
 	_, _ = sa, sb
 	img := dev.CrashImage(pmem.CrashEvictRandom, 3)
 	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	s2, _, err := openStore(dev2)
+	db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2 := db2.Store()
 	p2, _ := s2.Parent("mgr", "a", "b")
 	ma2, _ := p2.Map("a")
 	mb2, _ := p2.Map("b")
@@ -364,10 +368,11 @@ func TestCommitUnrelatedCrashRollsBackPointerTx(t *testing.T) {
 	img := dev.CrashImage(pmem.CrashAllInflight, 5)
 
 	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	s2nd, _, err := openStore(dev2)
+	db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2nd := db2.Store()
 	v1b, _ := s2nd.Vector("v1")
 	v2b, _ := s2nd.Vector("v2")
 	if v1b.Len() != 1 || v2b.Len() != 1 {
@@ -456,11 +461,12 @@ func TestRecoveryReclaimsAllLeaksToZeroWaste(t *testing.T) {
 	}
 	img := dev.CrashImage(pmem.CrashEvictRandom, 11)
 	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	s2, rs, err := openStore(dev2)
+	db2, info, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.LeakedBlocks == 0 {
+	s2 := db2.Store()
+	if info.Stats.LeakedBlocks == 0 {
 		t.Fatal("expected leaked blocks from abandoned shadows")
 	}
 	liveAfter := s2.Heap().Stats().LiveBytes

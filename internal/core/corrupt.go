@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -114,27 +115,22 @@ func verifyHeap(heap *alloc.Heap, shard int, salvage bool) (damaged []DamagedRoo
 	return damaged, skip
 }
 
-// guardImageOpen runs an open-from-images and converts any failure —
-// a panic from recovery walking a truncated or scrambled image into
-// out-of-range addresses, malformed block headers, or poisoned lines,
-// or a clean recovery error on such an image — into a wrapped
-// ErrCorrupted, so a damaged image fails the Open with a typed error
-// instead of crashing the process. The original cause stays reachable
-// through errors.Is/As.
-func guardImageOpen(open func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			inner, ok := r.(error)
-			if !ok {
-				inner = fmt.Errorf("%v", r)
-			}
-			err = &CorruptionError{Shard: 0, Slot: -1, Err: fmt.Errorf("open from image: %w", inner)}
-		}
-	}()
-	if oerr := open(); oerr != nil {
-		return &CorruptionError{Shard: 0, Slot: -1, Err: fmt.Errorf("open from image: %w", oerr)}
+// openFault converts a failed open of shard's region — a clean recovery
+// error, or the value of a panic from recovery walking a truncated or
+// scrambled image into out-of-range addresses, malformed block headers,
+// or poisoned lines — into a *CorruptionError, so a damaged region
+// fails the Open with a typed error instead of crashing the process.
+// A cause that already carries a *CorruptionError passes through
+// unchanged; the original cause stays reachable through errors.Is/As.
+func openFault(shard int, cause any) error {
+	err, ok := cause.(error)
+	if !ok {
+		err = fmt.Errorf("%v", cause)
 	}
-	return nil
+	if ce := (*CorruptionError)(nil); errors.As(err, &ce) {
+		return err
+	}
+	return &CorruptionError{Shard: shard, Slot: -1, Err: fmt.Errorf("open from image: %w", err)}
 }
 
 // verifyBindLazy funnels a root's header block through the lazy

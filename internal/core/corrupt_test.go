@@ -247,3 +247,81 @@ func TestOpenSalvageRollsBackSelectiveRoot(t *testing.T) {
 		t.Fatalf("post-salvage write lost: %q %v", v, ok)
 	}
 }
+
+// TestOpenDeadLineReturnsShardError kills a line the reachability scan
+// reads — the header of a committed map's root block — and reattaches
+// with WithDevices + WithAttach. The scan runs on its shard's own
+// goroutine; the media fault it raises there must fail the Open with a
+// *CorruptionError naming that shard, not take down the process.
+func TestOpenDeadLineReturnsShardError(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		shards, dead int
+	}{
+		{name: "shard0-of-2", shards: 2, dead: 0},
+		{name: "shard1-of-2", shards: 2, dead: 1},
+		{name: "single-heap", shards: 1, dead: 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sharded := tc.shards > 1
+			var opts []Option
+			if sharded {
+				opts = append(opts, WithShards(tc.shards))
+			}
+			db, _, err := Open(dbConfig(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var victim *Store
+			for i := 0; i < tc.shards; i++ {
+				s := db.Store()
+				if sharded {
+					s = db.Sharded().Shard(i)
+				}
+				m, err := s.Map("m")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < 16; k++ {
+					m.Set(sKey(k), sKey(k))
+				}
+				if i == tc.dead {
+					victim = s
+				}
+			}
+			db.Sync()
+			slot, err := victim.Heap().RootSlot("m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr := victim.Heap().Root(slot) - alloc.HeaderSize
+			imgs := db.CrashImages(pmem.CrashFencedOnly, 1)
+			db.Close()
+
+			devs := make([]pmem.Backend, len(imgs))
+			for i, img := range imgs {
+				cfg := dbConfig()
+				if i == tc.shards {
+					cfg = metaConfig(cfg)
+				}
+				d := pmem.NewFromImage(cfg, img)
+				if i == tc.dead {
+					d.MarkLineDead(hdr)
+				}
+				devs[i] = d
+			}
+			_, _, err = Open(pmem.Config{}, WithDevices(devs...), WithAttach())
+			if !errors.Is(err, ErrCorrupted) {
+				t.Fatalf("open over a dead scanned line: %v, want ErrCorrupted", err)
+			}
+			var ce *CorruptionError
+			if !errors.As(err, &ce) || ce.Shard != tc.dead || ce.Slot != -1 {
+				t.Fatalf("error %v does not name shard %d", err, tc.dead)
+			}
+			var me *pmem.MediaError
+			if !errors.As(err, &me) {
+				t.Fatalf("error %v lost the media fault", err)
+			}
+		})
+	}
+}

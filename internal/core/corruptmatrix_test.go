@@ -35,18 +35,6 @@ func cmTrials() int {
 	return 6
 }
 
-// cmOpen opens a damaged single-heap device with verification and
-// salvage, converting recovery panics (scrambled block chains, poisoned
-// lines) into errors the way the public image-open path does.
-func cmOpen(dev *pmem.Device) (s *Store, damaged []DamagedRoot, err error) {
-	err = guardImageOpen(func() error {
-		var oerr error
-		s, _, damaged, oerr = openStoreVerify(dev, verifyConfig{verify: true, salvage: true})
-		return oerr
-	})
-	return
-}
-
 // cmPlan builds one deterministic fault plan of the given class aimed at
 // the heap block area [lo, hi).
 func cmPlan(fc string, rng *rand.Rand, lo, hi pmem.Addr) *pmem.FaultPlan {
@@ -84,13 +72,14 @@ type cmExpect struct {
 // is neither committed nor a reported salvage rollback.
 func cmCheckReopen(t *testing.T, st matrixStructure, dev2 *pmem.Device, exp cmExpect, label string) {
 	t.Helper()
-	s2, damaged, err := cmOpen(dev2)
+	db2, info, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach(), WithSalvage())
 	if err != nil {
 		return // detected: damaged image failed the open cleanly
 	}
+	s2 := db2.Store()
 	salvaged := false
 	var dropped uint64
-	for _, d := range damaged {
+	for _, d := range info.Damaged {
 		if !d.Salvaged {
 			return // detected: root quarantined, binds answer ErrCorrupted
 		}
@@ -306,10 +295,11 @@ func TestCorruptionShardedDegradedOpen(t *testing.T) {
 		}
 		st := st
 		t.Run(st.name, func(t *testing.T) {
-			ss, err := newShardedStore(cfg, 2)
+			db, _, err := Open(cfg, WithShards(2))
 			if err != nil {
 				t.Fatal(err)
 			}
+			ss := db.Sharded()
 			ops := st.bind(t, ss.Shard(0), "mx")
 			marker, err := ss.Shard(1).Map("mx-marker")
 			if err != nil {
@@ -359,10 +349,11 @@ func TestCorruptionShardedDegradedOpen(t *testing.T) {
 			}
 			plan.ApplyToImage(imgs[0], nil)
 
-			ss2, _, damaged, err := openShardedVerify(cfg, imgs, verifyConfig{verify: true, salvage: true})
+			db2, info, err := Open(cfg, WithExistingImages(imgs), WithSalvage())
 			if err != nil {
 				t.Fatalf("degraded open failed entirely: %v", err)
 			}
+			ss2, damaged := db2.Sharded(), info.Damaged
 			if len(damaged) == 0 {
 				t.Fatal("flipped root payload bit went undetected")
 			}

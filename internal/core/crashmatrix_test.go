@@ -370,10 +370,11 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 						t.Fatalf("inj %d/%d: countdown never expired", inj, totalWrites)
 					}
 					dev2 := pmem.NewFromImage(pmem.DefaultConfig(4<<20), img)
-					s2, _, err := openStore(dev2)
+					db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 					if err != nil {
 						t.Fatalf("inj %d: recovery: %v", inj, err)
 					}
+					s2 := db2.Store()
 					ops2 := st.bind(t, s2, "mx")
 					got := mxJoin(ops2.dump())
 					if !allowed[got] {
@@ -413,10 +414,11 @@ func TestCrashMatrixCrossShard(t *testing.T) {
 	for _, st := range matrixStructures() {
 		t.Run(st.name+"/cross", func(t *testing.T) {
 			build := func() (*ShardedStore, matrixOps, *Map) {
-				ss, err := newShardedStore(cfg, 2)
+				db, _, err := Open(cfg, WithShards(2))
 				if err != nil {
 					t.Fatal(err)
 				}
+				ss := db.Sharded()
 				ops := st.bind(t, ss.Shard(0), "mx")
 				marker, err := ss.Shard(1).Map("mx-marker")
 				if err != nil {
@@ -457,10 +459,11 @@ func TestCrashMatrixCrossShard(t *testing.T) {
 				if imgs == nil {
 					t.Fatalf("inj %d/%d: countdown never expired", inj, totalWrites)
 				}
-				ss2, _, err := openShardedStore(cfg, imgs)
+				db2, _, err := Open(cfg, WithExistingImages(imgs))
 				if err != nil {
 					t.Fatalf("inj %d: recovery: %v", inj, err)
 				}
+				ss2 := db2.Sharded()
 				ops2 := st.bind(t, ss2.Shard(0), "mx")
 				marker2, err := ss2.Shard(1).Map("mx-marker")
 				if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -9,12 +10,14 @@ import (
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// Unified open API. NewStore/OpenStore/NewShardedStore/OpenShardedStore
-// grew up as four divergent entrypoints with incompatible signatures;
-// anything generic — a server, an app, a test — had to care whether its
-// store was sharded before it could bind a root. Open collapses them
-// into one constructor configured by functional options, and the KV
-// interface is the store-shape-agnostic surface both Store and
+// Unified open API. Open is the one constructor for every store shape:
+// it resolves its options to a list of device regions, and the length
+// of that list sets the layout — one region is a single heap with no
+// metadata region, k+1 regions are k shards followed by the cross-shard
+// metadata region. The regions then go through exactly one formatStores
+// or one attachStores (attach → replay → recover → verify → finish), so
+// a single heap and a sharded store share every step of recovery. The
+// KV interface is the store-shape-agnostic surface both Store and
 // ShardedStore (and the DB wrapper) satisfy: bind roots, batch, commit
 // asynchronously, sync, close, read stats. cmd/modserver is written
 // against KV and runs unchanged over one heap or sixteen.
@@ -115,7 +118,9 @@ type Option func(*options)
 // option Open builds a single-heap store with no metadata region and
 // exactly the plain Store's fence economy; WithShards(1) is a genuine
 // one-shard ShardedStore (metadata region included), which is what a
-// shard-count sweep's baseline point wants.
+// shard-count sweep's baseline point wants. Over WithExistingImages or
+// WithDevices, n must agree with the n+1 regions given, or Open fails
+// with ErrShardCount.
 func WithShards(n int) Option {
 	return func(o *options) {
 		o.shards = n
@@ -239,101 +244,55 @@ type DB struct {
 	selective bool
 }
 
-// Open formats (or, with WithExistingImages, recovers) a MOD store and
-// returns it wrapped as a DB. The zero option set gives a single-heap
-// store on a fresh device built from cfg; WithShards(n) partitions it;
-// WithExistingImages reopens a crashed one, with the recovery reported
-// in the RecoveryInfo. The returned DB (and any nil DB from a failed
-// open) is safe to Close and Sync in all cases.
+// Open formats (or, with WithExistingImages or WithAttach, recovers) a
+// MOD store and returns it wrapped as a DB. The zero option set gives a
+// single-heap store on a fresh device built from cfg; WithShards(n)
+// partitions it; WithExistingImages reopens a crashed one, with the
+// recovery reported in the RecoveryInfo. A region that fails recovery —
+// a clean error or a media-fault panic on any shard — fails the Open
+// with a *CorruptionError naming the shard. The returned DB (and any
+// nil DB from a failed open) is safe to Close and Sync in all cases.
 func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var info RecoveryInfo
 	if o.shardsSet && o.shards < 1 {
-		return nil, info, fmt.Errorf("core: open with %d shards: %w", o.shards, ErrShardCount)
+		return nil, RecoveryInfo{}, fmt.Errorf("core: open with %d shards: %w", o.shards, ErrShardCount)
+	}
+	if len(o.devices) > 0 && o.images != nil {
+		return nil, RecoveryInfo{}, fmt.Errorf("core: WithDevices and WithExistingImages are mutually exclusive")
+	}
+	if o.attach && len(o.devices) == 0 {
+		return nil, RecoveryInfo{}, fmt.Errorf("core: WithAttach requires WithDevices")
+	}
+	regions := o.regions(cfg)
+	n := len(regions)
+	if n < 1 || o.shardsSet && n != o.shards+1 {
+		return nil, RecoveryInfo{}, fmt.Errorf("core: open with %d shards over %d regions (one region is a single heap, k+1 are k shards then the metadata region): %w",
+			o.shards, n, ErrShardCount)
 	}
 	if o.checkpointEvery > 0 {
 		funcds.SetCheckpointEvery(uint64(o.checkpointEvery))
 	}
-	if len(o.devices) > 0 && o.images != nil {
-		return nil, info, fmt.Errorf("core: WithDevices and WithExistingImages are mutually exclusive")
+	shards, meta := regions, pmem.Backend(nil)
+	if n > 1 {
+		shards, meta = regions[:n-1], regions[n-1]
 	}
-	if o.attach && len(o.devices) == 0 {
-		return nil, info, fmt.Errorf("core: WithAttach requires WithDevices")
-	}
-	db := &DB{selective: o.selective}
-	switch {
-	case len(o.devices) > 0:
-		if err := openDevices(db, &info, &o); err != nil {
-			return nil, info, err
-		}
-	case o.images == nil && o.shards == 0:
-		s, err := newStore(pmem.New(cfg))
-		if err != nil {
-			return nil, info, err
-		}
-		db.store = s
-	case o.images == nil:
-		ss, err := newShardedStore(cfg, o.shards)
-		if err != nil {
-			return nil, info, err
-		}
-		db.sharded = ss
-	case len(o.images) == 1:
-		if o.shards > 1 {
-			return nil, info, fmt.Errorf("core: open with %d shards from a single image: %w", o.shards, ErrShardCount)
-		}
-		vc := verifyConfig{verify: o.verify, salvage: o.salvage}
-		var (
-			s       *Store
-			rs      alloc.RecoveryStats
-			damaged []DamagedRoot
-		)
-		err := guardImageOpen(func() error {
-			var oerr error
-			s, rs, damaged, oerr = openStoreVerify(pmem.NewFromImage(cfg, o.images[0]), vc)
-			return oerr
-		})
-		if err != nil {
-			return nil, info, err
-		}
-		db.store = s
-		info = RecoveryInfo{Recovered: true, Stats: rs, PerShard: []alloc.RecoveryStats{rs}, Damaged: damaged}
-	default:
-		if want := len(o.images) - 1; o.shards != 0 && o.shards != want {
-			return nil, info, fmt.Errorf("core: open with %d shards from %d images (want %d shards): %w",
-				o.shards, len(o.images), want, ErrShardCount)
-		}
-		vc := verifyConfig{verify: o.verify, salvage: o.salvage}
-		var (
-			ss      *ShardedStore
-			srs     ShardedRecoveryStats
-			damaged []DamagedRoot
-		)
-		err := guardImageOpen(func() error {
-			var oerr error
-			ss, srs, damaged, oerr = openShardedVerify(cfg, o.images, vc)
-			return oerr
-		})
-		if err != nil {
-			return nil, info, err
-		}
-		db.sharded = ss
-		info = RecoveryInfo{
-			Recovered:        true,
-			Stats:            srs.Total(),
-			PerShard:         srs.PerShard,
-			ManifestReplayed: srs.ManifestReplayed,
-			Damaged:          damaged,
-		}
-	}
-	if db.store != nil {
-		db.kv = db.store
+	var (
+		db   *DB
+		info RecoveryInfo
+		err  error
+	)
+	if o.images != nil || o.attach {
+		db, info, err = attachStores(shards, meta, verifyConfig{verify: o.verify, salvage: o.salvage})
 	} else {
-		db.kv = db.sharded
+		db, err = formatStores(shards, meta)
 	}
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	db.selective = o.selective
 	if o.nodeCache {
 		db.EnableNodeCache()
 	}
@@ -350,68 +309,203 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 	return db, info, nil
 }
 
-// openDevices handles the WithDevices arm of Open: format or attach,
-// single-heap or sharded, over the caller's backends.
-func openDevices(db *DB, info *RecoveryInfo, o *options) error {
-	n := len(o.devices)
-	if want := n - 1; o.shards != 0 && o.shards != want {
-		return fmt.Errorf("core: open with %d shards over %d devices (want %d shards plus metadata): %w",
-			o.shards, n, want, ErrShardCount)
+// regions resolves the options to the store's device regions: the
+// WithDevices backends as given, or one simulator device per
+// WithExistingImages image, or fresh simulator devices from cfg — one,
+// or one per WithShards shard plus the metadata region. A list of more
+// than one region always ends with the metadata region.
+func (o *options) regions(cfg pmem.Config) []pmem.Backend {
+	if len(o.devices) > 0 {
+		return o.devices
 	}
-	vc := verifyConfig{verify: o.verify, salvage: o.salvage}
+	n := 1
 	switch {
-	case !o.attach && n == 1:
-		s, err := newStore(o.devices[0])
-		if err != nil {
-			return err
+	case o.images != nil:
+		n = len(o.images)
+	case o.shardsSet:
+		n = o.shards + 1
+	}
+	regions := make([]pmem.Backend, n)
+	for i := range regions {
+		c := cfg
+		if n > 1 && i == n-1 {
+			c = metaConfig(cfg)
 		}
-		db.store = s
-	case !o.attach:
-		ss, err := newShardedDevices(o.devices[:n-1], o.devices[n-1])
-		if err != nil {
-			return err
-		}
-		db.sharded = ss
-	case n == 1:
-		var (
-			s       *Store
-			rs      alloc.RecoveryStats
-			damaged []DamagedRoot
-		)
-		err := guardImageOpen(func() error {
-			var oerr error
-			s, rs, damaged, oerr = openStoreVerify(o.devices[0], vc)
-			return oerr
-		})
-		if err != nil {
-			return err
-		}
-		db.store = s
-		*info = RecoveryInfo{Recovered: true, Stats: rs, PerShard: []alloc.RecoveryStats{rs}, Damaged: damaged}
-	default:
-		var (
-			ss      *ShardedStore
-			srs     ShardedRecoveryStats
-			damaged []DamagedRoot
-		)
-		err := guardImageOpen(func() error {
-			var oerr error
-			ss, srs, damaged, oerr = openShardedDevices(o.devices[:n-1], o.devices[n-1], vc)
-			return oerr
-		})
-		if err != nil {
-			return err
-		}
-		db.sharded = ss
-		*info = RecoveryInfo{
-			Recovered:        true,
-			Stats:            srs.Total(),
-			PerShard:         srs.PerShard,
-			ManifestReplayed: srs.ManifestReplayed,
-			Damaged:          damaged,
+		if o.images != nil {
+			regions[i] = pmem.NewFromImage(c, o.images[i])
+		} else {
+			regions[i] = pmem.New(c)
 		}
 	}
-	return nil
+	return regions
+}
+
+// newDB wraps opened shard stores: a single-heap DB when meta is nil,
+// otherwise a sharded one over meta.
+func newDB(stores []*Store, meta pmem.Backend) *DB {
+	if meta == nil {
+		return &DB{kv: stores[0], store: stores[0]}
+	}
+	ss := newSharded(stores, meta)
+	return &DB{kv: ss, sharded: ss}
+}
+
+// formatStores formats an empty store over the shard regions and, when
+// meta is non-nil, writes the metadata region's magic and shard count.
+// meta == nil means a single heap.
+func formatStores(shards []pmem.Backend, meta pmem.Backend) (*DB, error) {
+	stores := make([]*Store, len(shards))
+	for i, d := range shards {
+		s, err := newStore(d)
+		if err != nil {
+			return nil, fmt.Errorf("core: shard %d: %w", i, err)
+		}
+		stores[i] = s
+	}
+	if meta != nil {
+		meta.WriteU64(0, shardMagic)
+		meta.WriteU64(8, uint64(len(shards)))
+		meta.FlushRange(0, 16)
+		meta.Sfence()
+	}
+	return newDB(stores, meta), nil
+}
+
+// attachStores recovers the store already on the shard regions (meta ==
+// nil means a single heap) in one pipeline for every shape:
+//
+//	attach   each shard replays its own batch record and commit log —
+//	         cheap work that must precede reachability;
+//	replay   a committed cross-shard manifest is redone before any
+//	         scan, so every shard's recovery traces the post-batch roots;
+//	recover  one goroutine per shard runs the reachability scan (§5.3),
+//	         verify/salvage when asked, the selective rebuild, and the
+//	         device's recovery note — total recovery time is the slowest
+//	         shard's, not the sum;
+//	finish   the handles are built, damage quarantined, and the manifest
+//	         retired.
+//
+// Every failure — a recovery error or a panic from a scan walking a
+// scrambled or poisoned region, on any goroutine — becomes one
+// *CorruptionError naming the shard it came from (shard 0 for the
+// metadata region), so a damaged region fails the open instead of the
+// process.
+func attachStores(shards []pmem.Backend, meta pmem.Backend, vc verifyConfig) (db *DB, info RecoveryInfo, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = openFault(0, r)
+		}
+		if err != nil {
+			db, info, err = nil, RecoveryInfo{}, openFault(0, err)
+		}
+	}()
+	n := len(shards)
+	if meta != nil {
+		if got := meta.ReadU64(0); got != shardMagic {
+			return nil, info, fmt.Errorf("core: bad shard metadata magic %#x", got)
+		}
+		if got := meta.ReadU64(8); got != uint64(n) {
+			return nil, info, fmt.Errorf("core: store has %d shards, got %d shard regions", got, n)
+		}
+	}
+
+	atts := make([]*storeAttachment, n)
+	for i, d := range shards {
+		a, err := attachStore(d)
+		if err != nil {
+			return nil, info, openFault(i, err)
+		}
+		atts[i] = a
+	}
+
+	// The redo writes are idempotent 8-byte swaps, fenced per shard
+	// before the status clears, so a second crash replays again.
+	var dirty bool
+	if meta != nil {
+		var entries []manifestEntry
+		entries, dirty = readManifest(meta)
+		touched := make(map[int]bool)
+		for _, e := range entries {
+			if e.shard < 0 || e.shard >= n {
+				return nil, info, fmt.Errorf("core: manifest entry names shard %d of %d", e.shard, n)
+			}
+			shards[e.shard].WriteAddr(e.cell, e.final)
+			shards[e.shard].Clwb(e.cell)
+			touched[e.shard] = true
+		}
+		for i := range touched {
+			shards[i].Sfence()
+		}
+		info.ManifestReplayed = len(entries) > 0
+	}
+
+	info.Recovered = true
+	info.PerShard = make([]alloc.RecoveryStats, n)
+	damage := make([][]DamagedRoot, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, a := range atts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = openFault(i, r)
+				}
+			}()
+			start := a.dev.LocalNs()
+			rs, err := a.heap.Recover()
+			info.PerShard[i] = rs
+			if err != nil {
+				errs[i] = openFault(i, err)
+				return
+			}
+			var skip map[int]bool
+			if vc.verify {
+				damage[i], skip = verifyHeap(a.heap, i, vc.salvage)
+			}
+			replayed, err := rebuildSelectiveRoots(a.heap, skip)
+			if err != nil {
+				errs[i] = openFault(i, err)
+				return
+			}
+			if !vc.verify {
+				a.heap.ArmLazyVerify()
+			}
+			a.dev.NoteRecovery(replayed, a.dev.LocalNs()-start)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, info, err
+		}
+	}
+
+	stores := make([]*Store, n)
+	for i, a := range atts {
+		s, err := a.finishOpen()
+		if err != nil {
+			return nil, info, openFault(i, err)
+		}
+		stores[i] = s
+	}
+	for i, rs := range info.PerShard {
+		info.Damaged = append(info.Damaged, damage[i]...)
+		info.Stats.LiveBlocks += rs.LiveBlocks
+		info.Stats.LiveBytes += rs.LiveBytes
+		info.Stats.LeakedBlocks += rs.LeakedBlocks
+		info.Stats.LeakedBytes += rs.LeakedBytes
+		info.Stats.Roots += rs.Roots
+		info.Stats.VolatileBlocks += rs.VolatileBlocks
+	}
+	quarantineDamage(stores, info.Damaged)
+	if dirty {
+		meta.WriteU64(manifestBase, manifestStatusIdle)
+		meta.Clwb(manifestBase)
+		meta.Sfence()
+	}
+	return newDB(stores, meta), info, nil
 }
 
 // SetCommitterLinger sets the floor of every committer's settle-fence

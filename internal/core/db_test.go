@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/mod-ds/mod/internal/funcds"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -143,30 +144,48 @@ func TestOpenOptionsSmoke(t *testing.T) {
 	db.Close()
 }
 
-// TestOpenShardCountErrors pins the ErrShardCount cases.
+// TestOpenShardCountErrors pins the ErrShardCount cases. The region
+// count sets the layout — one region is a single heap, k+1 regions are
+// k shards plus the metadata region — so WithShards must agree with it
+// whether the regions are images or devices.
 func TestOpenShardCountErrors(t *testing.T) {
-	if _, _, err := Open(dbConfig(), WithShards(0)); !errors.Is(err, ErrShardCount) {
-		t.Fatalf("WithShards(0): %v, want ErrShardCount", err)
-	}
 	db, _, err := Open(dbConfig())
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	imgs := db.CrashImages(pmem.CrashFencedOnly, 1)
 	db.Close()
-	if _, _, err := Open(dbConfig(), WithExistingImages(imgs), WithShards(4)); !errors.Is(err, ErrShardCount) {
-		t.Fatalf("4 shards from one image: %v, want ErrShardCount", err)
+	odb, _, err := Open(dbConfig(), WithShards(1))
+	if err != nil {
+		t.Fatalf("one-shard open: %v", err)
 	}
-
+	oimgs := odb.CrashImages(pmem.CrashFencedOnly, 1)
+	odb.Close()
 	sdb, _, err := Open(dbConfig(), WithShards(2))
 	if err != nil {
 		t.Fatalf("sharded open: %v", err)
 	}
 	simgs := sdb.CrashImages(pmem.CrashFencedOnly, 1)
 	sdb.Close()
-	if _, _, err := Open(dbConfig(), WithExistingImages(simgs), WithShards(3)); !errors.Is(err, ErrShardCount) {
-		t.Fatalf("3 shards from 2-shard images: %v, want ErrShardCount", err)
+
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"WithShards(0)", []Option{WithShards(0)}},
+		{"WithShards(-1)", []Option{WithShards(-1)}},
+		{"4 shards from one image", []Option{WithExistingImages(imgs), WithShards(4)}},
+		{"1 shard from one image", []Option{WithExistingImages(imgs), WithShards(1)}},
+		{"1 shard over one device", []Option{WithDevices(pmem.New(dbConfig())), WithShards(1)}},
+		{"zero images", []Option{WithExistingImages([][]byte{})}},
+		{"2 shards from 2 images", []Option{WithExistingImages(oimgs), WithShards(2)}},
+		{"3 shards from 2-shard images", []Option{WithExistingImages(simgs), WithShards(3)}},
+	} {
+		if _, _, err := Open(dbConfig(), tc.opts...); !errors.Is(err, ErrShardCount) {
+			t.Errorf("%s: %v, want ErrShardCount", tc.name, err)
+		}
 	}
+
 	if db2, _, err := Open(dbConfig(), WithExistingImages(simgs)); err != nil {
 		t.Fatalf("shard inference from images failed: %v", err)
 	} else {
@@ -174,6 +193,27 @@ func TestOpenShardCountErrors(t *testing.T) {
 			t.Fatalf("inferred %d shards, want 2", db2.ShardCount())
 		}
 		db2.Close()
+	}
+}
+
+// TestOpenRejectedKeepsCheckpointInterval checks that an Open rejected
+// for its options leaves the process-wide checkpoint interval alone:
+// WithSelective's interval applies only once validation has passed.
+func TestOpenRejectedKeepsCheckpointInterval(t *testing.T) {
+	before := funcds.CheckpointEvery()
+	want := before + 3
+	for _, opts := range [][]Option{
+		{WithDevices(pmem.New(dbConfig())), WithExistingImages([][]byte{nil}), WithSelective(int(want))},
+		{WithShards(0), WithSelective(int(want))},
+		{WithAttach(), WithSelective(int(want))},
+	} {
+		if _, _, err := Open(dbConfig(), opts...); err == nil {
+			t.Fatal("invalid options accepted")
+		}
+		if got := funcds.CheckpointEvery(); got != before {
+			funcds.SetCheckpointEvery(before)
+			t.Fatalf("rejected Open changed the checkpoint interval: %d, want %d", got, before)
+		}
 	}
 }
 

@@ -33,10 +33,11 @@ func selCrashReopen(t *testing.T, dev *pmem.Device, seed uint64) (*Store, *pmem.
 	cfg := pmem.DefaultConfig(8 << 20)
 	cfg.TrackDurable = true
 	dev2 := pmem.NewFromImage(cfg, img)
-	s2, _, err := openStore(dev2)
+	db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
+	s2 := db2.Store()
 	return s2, dev2
 }
 
@@ -303,10 +304,11 @@ func TestSelectiveShardedParallelRebuild(t *testing.T) {
 	const shards = 4
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, shards)
+	db, _, err := Open(cfg, WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := db.Sharded()
 	for i := 0; i < shards; i++ {
 		ss.Shard(i).EnableNodeCache()
 		m, err := ss.Shard(i).SelectiveMap("m")
@@ -320,12 +322,13 @@ func TestSelectiveShardedParallelRebuild(t *testing.T) {
 	ss.Sync()
 
 	imgs := ss.CrashImages(pmem.CrashEvictRandom, 1234)
-	ss2, rs, err := openShardedStore(cfg, imgs)
+	db2, info, err := Open(cfg, WithExistingImages(imgs))
 	if err != nil {
 		t.Fatalf("sharded recovery: %v", err)
 	}
-	if len(rs.PerShard) != shards {
-		t.Fatalf("PerShard stats for %d shards, want %d", len(rs.PerShard), shards)
+	ss2 := db2.Sharded()
+	if len(info.PerShard) != shards {
+		t.Fatalf("PerShard stats for %d shards, want %d", len(info.PerShard), shards)
 	}
 	for i := 0; i < shards; i++ {
 		m, err := ss2.Shard(i).SelectiveMap("m")

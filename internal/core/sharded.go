@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -52,8 +51,8 @@ import (
 //	         left committed-but-retired could otherwise be replayed
 //	         after its roots had durably moved on, rolling them back.
 //
-// OpenShardedStore replays a committed manifest before any shard's
-// reachability scan: a crash before the commit point recovers none of
+// A recovering Open (attachStores, db.go) replays a committed manifest
+// before any shard's reachability scan: a crash before the commit point recovers none of
 // the batch (the shadows are swept as leaks), a crash at or after it
 // recovers all of it. A cross-shard commit touching k shards costs
 // 2k+3 fences — the uncommon, explicitly cross-shard case; everything
@@ -125,77 +124,6 @@ func newSharded(stores []*Store, meta pmem.Backend) *ShardedStore {
 	}
 }
 
-// newShardedStore formats shards independent device regions of cfg.Size
-// bytes each, plus a small metadata region, and returns the empty store.
-// External callers go through Open with WithShards; the wrapped sharded
-// store stays reachable via DB.Sharded.
-func newShardedStore(cfg pmem.Config, shards int) (*ShardedStore, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("core: shard count %d < 1: %w", shards, ErrShardCount)
-	}
-	stores := make([]*Store, shards)
-	for i := range stores {
-		s, err := newStore(pmem.New(cfg))
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		stores[i] = s
-	}
-	meta := pmem.New(metaConfig(cfg))
-	formatShardMeta(meta, shards)
-	return newSharded(stores, meta), nil
-}
-
-// newShardedDevices formats a sharded store over caller-supplied
-// backends — one region per shard plus the metadata region — the
-// WithDevices path that puts each shard on its own mmap'd file.
-func newShardedDevices(devs []pmem.Backend, meta pmem.Backend) (*ShardedStore, error) {
-	if len(devs) < 1 {
-		return nil, fmt.Errorf("core: shard count %d < 1: %w", len(devs), ErrShardCount)
-	}
-	stores := make([]*Store, len(devs))
-	for i, d := range devs {
-		s, err := newStore(d)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		stores[i] = s
-	}
-	formatShardMeta(meta, len(devs))
-	return newSharded(stores, meta), nil
-}
-
-// formatShardMeta writes and fences the metadata region's magic and
-// shard count.
-func formatShardMeta(meta pmem.Backend, shards int) {
-	meta.WriteU64(0, shardMagic)
-	meta.WriteU64(8, uint64(shards))
-	meta.FlushRange(0, 16)
-	meta.Sfence()
-}
-
-// ShardedRecoveryStats reports a sharded store's post-crash recovery.
-type ShardedRecoveryStats struct {
-	// PerShard holds each shard's recovery stats, in shard order.
-	PerShard []alloc.RecoveryStats
-	// ManifestReplayed reports whether a committed cross-shard manifest
-	// was found and its root swaps re-executed.
-	ManifestReplayed bool
-}
-
-// Total returns the recovery stats summed across shards.
-func (rs ShardedRecoveryStats) Total() alloc.RecoveryStats {
-	var t alloc.RecoveryStats
-	for _, s := range rs.PerShard {
-		t.LiveBlocks += s.LiveBlocks
-		t.LiveBytes += s.LiveBytes
-		t.LeakedBlocks += s.LeakedBlocks
-		t.LeakedBytes += s.LeakedBytes
-		t.Roots += s.Roots
-	}
-	return t
-}
-
 // manifestEntry is one decoded manifest triple.
 type manifestEntry struct {
 	shard int
@@ -238,151 +166,6 @@ func readManifest(meta pmem.Backend) (entries []manifestEntry, dirty bool) {
 		}
 	}
 	return entries, true
-}
-
-// openShardedStore attaches to a previously formatted sharded store from
-// per-region crash images (shard regions in order, metadata region
-// last — the layout CrashImages produces). It replays a committed
-// cross-shard manifest all-or-nothing, then recovers every shard's heap
-// in parallel goroutines: total recovery time is the slowest shard's
-// reachability scan, not the sum. External callers go through Open with
-// WithExistingImages, which recovers the same way and reports the
-// result in a RecoveryInfo.
-func openShardedStore(cfg pmem.Config, images [][]byte) (*ShardedStore, ShardedRecoveryStats, error) {
-	ss, rs, _, err := openShardedVerify(cfg, images, verifyConfig{})
-	return ss, rs, err
-}
-
-// openShardedVerify is openShardedStore with the corruption-resilience
-// phases wired in (corrupt.go): it constructs one simulator device per
-// region image and hands them to the device-based open.
-func openShardedVerify(cfg pmem.Config, images [][]byte, vc verifyConfig) (*ShardedStore, ShardedRecoveryStats, []DamagedRoot, error) {
-	if len(images) < 2 {
-		return nil, ShardedRecoveryStats{}, nil, fmt.Errorf("core: sharded store needs at least 1 shard image + metadata image, got %d", len(images))
-	}
-	shards := len(images) - 1
-	meta := pmem.NewFromImage(metaConfig(cfg), images[shards])
-	devs := make([]pmem.Backend, shards)
-	for i := 0; i < shards; i++ {
-		devs[i] = pmem.NewFromImage(cfg, images[i])
-	}
-	return openShardedDevices(devs, meta, vc)
-}
-
-// openShardedDevices attaches to a previously formatted sharded store
-// whose shard regions (and metadata region) are already open as
-// backends — images on the simulator, mmap'd files on mmapdev. Each
-// shard verifies (and optionally salvages) its roots between its
-// reachability scan and its selective rebuild, in per-shard goroutines,
-// so degraded opens keep the parallel-recovery property. Damage is
-// reported per shard; unsalvaged roots are quarantined on their shard's
-// store.
-func openShardedDevices(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) (*ShardedStore, ShardedRecoveryStats, []DamagedRoot, error) {
-	var rs ShardedRecoveryStats
-	shards := len(devs)
-	if got := meta.ReadU64(0); got != shardMagic {
-		return nil, rs, nil, fmt.Errorf("core: bad shard metadata magic %#x", got)
-	}
-	if got := meta.ReadU64(8); got != uint64(shards) {
-		return nil, rs, nil, fmt.Errorf("core: store has %d shards, got %d shard regions", got, shards)
-	}
-
-	// Phase 0: attach each shard — replay its own batch record and
-	// commit log, cheap work that must precede reachability.
-	atts := make([]*storeAttachment, shards)
-	heaps := make([]*alloc.Heap, shards)
-	for i := 0; i < shards; i++ {
-		a, err := attachStore(devs[i])
-		if err != nil {
-			return nil, rs, nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		atts[i] = a
-		heaps[i] = a.heap
-	}
-
-	// Phase 1: replay a committed manifest before any reachability scan,
-	// so every shard's recovery traces the post-batch roots. The redo
-	// writes are idempotent 8-byte swaps; they are fenced per shard
-	// before the status clears, so a second crash replays again.
-	entries, dirty := readManifest(meta)
-	if len(entries) > 0 {
-		touched := make(map[int]bool)
-		for _, e := range entries {
-			if e.shard < 0 || e.shard >= shards {
-				return nil, rs, nil, fmt.Errorf("core: manifest entry names shard %d of %d", e.shard, shards)
-			}
-			devs[e.shard].WriteAddr(e.cell, e.final)
-			devs[e.shard].Clwb(e.cell)
-			touched[e.shard] = true
-		}
-		for i := range touched {
-			devs[i].Sfence()
-		}
-		rs.ManifestReplayed = true
-	}
-
-	// Phase 2: parallel reachability recovery, one goroutine per shard.
-	starts := make([]float64, shards)
-	for i, d := range devs {
-		starts[i] = d.LocalNs()
-	}
-	stats, err := alloc.RecoverAll(heaps)
-	rs.PerShard = stats
-	if err != nil {
-		return nil, rs, nil, err
-	}
-
-	// Phase 2.5: verify/salvage (when asked) and rebuild selective
-	// navigation, in parallel like the reachability scan — each shard
-	// verifies and replays its own roots on its own heap, so degraded
-	// opens keep total recovery time at the slowest shard's. Without
-	// eager verification each shard arms lazy on-read checks instead.
-	rebuildErrs := make([]error, shards)
-	perShardDamage := make([][]DamagedRoot, shards)
-	var wg sync.WaitGroup
-	for i := range heaps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var skip map[int]bool
-			if vc.verify {
-				perShardDamage[i], skip = verifyHeap(heaps[i], i, vc.salvage)
-			}
-			replayed, rerr := rebuildSelectiveRoots(heaps[i], skip)
-			rebuildErrs[i] = rerr
-			if !vc.verify {
-				heaps[i].ArmLazyVerify()
-			}
-			devs[i].NoteRecovery(replayed, devs[i].LocalNs()-starts[i])
-		}(i)
-	}
-	wg.Wait()
-	var damaged []DamagedRoot
-	for _, d := range perShardDamage {
-		damaged = append(damaged, d...)
-	}
-	for i, rerr := range rebuildErrs {
-		if rerr != nil {
-			return nil, rs, damaged, fmt.Errorf("core: shard %d: %w", i, rerr)
-		}
-	}
-
-	// Phase 3: build the handles and retire the manifest.
-	stores := make([]*Store, shards)
-	for i, a := range atts {
-		s, err := a.finishOpen()
-		if err != nil {
-			return nil, rs, damaged, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		stores[i] = s
-	}
-	quarantineDamage(stores, damaged)
-	if dirty {
-		meta.WriteU64(manifestBase, manifestStatusIdle)
-		meta.Clwb(manifestBase)
-		meta.Sfence()
-	}
-	return newSharded(stores, meta), rs, damaged, nil
 }
 
 // Fork returns a new handle set onto the same sharded store whose
@@ -576,7 +359,7 @@ func (ss *ShardedStore) ShardStats(i int) pmem.Stats { return ss.shards[i].Devic
 func (ss *ShardedStore) MetaStats() pmem.Stats { return ss.meta.Stats() }
 
 // CrashImages returns post-power-failure images of every region (shards
-// in order, metadata last), the input OpenShardedStore expects.
+// in order, metadata last), the layout WithExistingImages expects.
 func (ss *ShardedStore) CrashImages(policy pmem.CrashPolicy, seed uint64) [][]byte {
 	return ss.regions.CrashImages(policy, seed)
 }

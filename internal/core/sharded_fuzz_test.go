@@ -31,10 +31,11 @@ func FuzzShardRouting(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name string, shards uint8) {
 		s := int(shards)%8 + 1
 		cfg := pmem.DefaultConfig(1 << 20)
-		ss, err := newShardedStore(cfg, s)
+		db, _, err := Open(cfg, WithShards(s))
 		if err != nil {
 			t.Fatal(err)
 		}
+		ss := db.Sharded()
 		si := ss.ShardFor(name)
 		if si < 0 || si >= s {
 			t.Fatalf("ShardFor(%q) = %d with %d shards", name, si, s)
@@ -93,10 +94,11 @@ func FuzzBatchManifest(f *testing.F) {
 		shards := int(shardsRaw)%3 + 2 // 2..4
 		cfg := pmem.DefaultConfig(2 << 20)
 		cfg.TrackDurable = true
-		ss, err := newShardedStore(cfg, shards)
+		db, _, err := Open(cfg, WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
+		ss := db.Sharded()
 		maps := make([]*Map, shards)
 		for i := range maps {
 			m, err := ss.Shard(i).Map(fmt.Sprintf("fz-%d", i))
@@ -125,10 +127,11 @@ func FuzzBatchManifest(f *testing.F) {
 			imgs = ss.CrashImages(pmem.CrashEvictRandom, uint64(crashAfter))
 		}
 
-		ss2, _, err := openShardedStore(cfg, imgs)
+		db2, _, err := Open(cfg, WithExistingImages(imgs))
 		if err != nil {
 			t.Fatalf("recovery: %v", err)
 		}
+		ss2 := db2.Sharded()
 		maps2 := make([]*Map, shards)
 		for i := range maps2 {
 			m, err := ss2.Shard(i).Map(fmt.Sprintf("fz-%d", i))

@@ -2,10 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -13,10 +15,11 @@ func newTestSharded(t testing.TB, shards int) *ShardedStore {
 	t.Helper()
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, shards)
+	db, _, err := Open(cfg, WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := db.Sharded()
 	return ss
 }
 
@@ -255,10 +258,11 @@ func TestShardedStatsSumProperty(t *testing.T) {
 func TestShardedCleanReopen(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, 4)
+	db, _, err := Open(cfg, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := db.Sharded()
 	maps := bindOnShards(t, ss)
 	for i := 0; i < 30; i++ {
 		maps[i%4].Set(sKey(i), sKey(i*3))
@@ -266,17 +270,18 @@ func TestShardedCleanReopen(t *testing.T) {
 	ss.Sync()
 
 	imgs := ss.CrashImages(pmem.CrashFencedOnly, 1)
-	ss2, rs, err := openShardedStore(cfg, imgs)
+	db2, info, err := Open(cfg, WithExistingImages(imgs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.PerShard) != 4 {
-		t.Fatalf("got %d per-shard stats, want 4", len(rs.PerShard))
+	ss2 := db2.Sharded()
+	if len(info.PerShard) != 4 {
+		t.Fatalf("got %d per-shard stats, want 4", len(info.PerShard))
 	}
-	if rs.ManifestReplayed {
+	if info.ManifestReplayed {
 		t.Error("clean image replayed a manifest")
 	}
-	if rs.Total().Roots == 0 {
+	if info.Stats.Roots == 0 {
 		t.Error("recovery found no roots")
 	}
 	maps2 := bindOnShards(t, ss2)
@@ -310,10 +315,11 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 
 	// Dry run: count the PM writes one cross-shard commit performs.
 	prep := func() (*ShardedStore, []*Map) {
-		ss, err := newShardedStore(cfg, shards)
+		db, _, err := Open(cfg, WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
+		ss := db.Sharded()
 		maps := bindOnShards(t, ss)
 		for i := 0; i < 6; i++ {
 			maps[i%shards].Set(sKey(i), sKey(i*3))
@@ -350,11 +356,12 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 		if imgs == nil {
 			t.Fatalf("inj %d: countdown never expired (%d writes)", inj, totalWrites)
 		}
-		ss2, rs, err := openShardedStore(cfg, imgs)
+		db2, info, err := Open(cfg, WithExistingImages(imgs))
 		if err != nil {
 			t.Fatalf("inj %d: recovery: %v", inj, err)
 		}
-		sawReplay = sawReplay || rs.ManifestReplayed
+		ss2 := db2.Sharded()
+		sawReplay = sawReplay || info.ManifestReplayed
 		maps2 := bindOnShards(t, ss2)
 		inShard := make([]bool, shards)
 		for si, m := range maps2 {
@@ -399,10 +406,11 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 func TestShardedManifestRetirementDurable(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, 2)
+	db, _, err := Open(cfg, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := db.Sharded()
 	maps := bindOnShards(t, ss)
 	ss.Sync()
 
@@ -419,11 +427,12 @@ func TestShardedManifestRetirementDurable(t *testing.T) {
 	ss.Shard(0).Sync()
 
 	imgs := ss.CrashImages(pmem.CrashFencedOnly, 1)
-	ss2, rs, err := openShardedStore(cfg, imgs)
+	db2, info, err := Open(cfg, WithExistingImages(imgs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.ManifestReplayed {
+	ss2 := db2.Sharded()
+	if info.ManifestReplayed {
 		t.Error("retired manifest replayed after a later commit")
 	}
 	maps2 := bindOnShards(t, ss2)
@@ -488,19 +497,102 @@ func TestShardedConcurrentWriters(t *testing.T) {
 func TestOpenShardedStoreRejectsBadInput(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, 2)
+	db, _, err := Open(cfg, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := db.Sharded()
 	ss.Sync()
 	imgs := ss.CrashImages(pmem.CrashFencedOnly, 1)
-	if _, _, err := openShardedStore(cfg, imgs[:1]); err == nil {
-		t.Error("open with too few images must fail")
+	if _, _, err := Open(cfg, WithExistingImages(imgs[:1]), WithShards(2)); !errors.Is(err, ErrShardCount) {
+		t.Errorf("open with too few images: %v, want ErrShardCount", err)
 	}
-	if _, _, err := openShardedStore(cfg, [][]byte{imgs[0], imgs[1], imgs[0], imgs[2]}); err == nil {
+	if _, _, err := Open(cfg, WithExistingImages([][]byte{imgs[0], imgs[1], imgs[0], imgs[2]})); err == nil {
 		t.Error("open with wrong shard count must fail")
 	}
-	if _, _, err := openShardedStore(cfg, [][]byte{imgs[0], imgs[1]}); err == nil {
+	if _, _, err := Open(cfg, WithExistingImages([][]byte{imgs[0], imgs[1]})); err == nil {
 		t.Error("open with a shard image as metadata must fail")
+	}
+}
+
+// TestShardedAttachPerShardRecovery gives every shard its own committed
+// root and a different number of leaked blocks, crashes the store, and
+// checks the parallel sharded attach reports, per shard, exactly what
+// recovering that shard's image alone as a single heap reports: live
+// state intact and every leak swept, attributed to the right shard.
+func TestShardedAttachPerShardRecovery(t *testing.T) {
+	const shards = 4
+	cfg := pmem.DefaultConfig(4 << 20)
+	cfg.TrackDurable = true
+	db, _, err := Open(cfg, WithShards(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := db.Sharded()
+	// Formatting writes every region, and the regions never alias.
+	for i, d := range ss.Regions().Devices() {
+		if d.Stats().Writes == 0 {
+			t.Fatalf("region %d saw no writes while formatting", i)
+		}
+	}
+	probe := ss.Shard(0).Heap().Alloc(16, 0) // never committed: one more leak on shard 0
+	ss.Shard(0).Device().WriteU64(probe, 0xdead)
+	if ss.Shard(1).Device().ReadU64(probe) == 0xdead {
+		t.Fatal("shard regions alias")
+	}
+	for i := 0; i < shards; i++ {
+		m, err := ss.Shard(i).Map("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Set(sKey(i), sKey(i))
+		ss.Shard(i).Sync() // reclaim the replaced empty version
+		for j := 0; j <= i; j++ {
+			ss.Shard(i).Heap().Alloc(16, 0) // never committed: a leak
+		}
+		ss.Shard(i).Device().Sfence() // headers durable, so recovery sweeps the leaks
+	}
+	imgs := ss.CrashImages(pmem.CrashFencedOnly, 1)
+
+	db2, info, err := Open(cfg, WithExistingImages(imgs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.PerShard) != shards {
+		t.Fatalf("got %d per-shard stats, want %d", len(info.PerShard), shards)
+	}
+	var total alloc.RecoveryStats
+	for i, rs := range info.PerShard {
+		_, alone, err := Open(cfg, WithExistingImages(imgs[i:i+1]))
+		if err != nil {
+			t.Fatalf("shard %d alone: %v", i, err)
+		}
+		if rs != alone.Stats {
+			t.Errorf("shard %d: sharded attach %+v, alone %+v", i, rs, alone.Stats)
+		}
+		want := i + 1
+		if i == 0 {
+			want++ // the alias probe
+		}
+		if rs.LeakedBlocks != want {
+			t.Errorf("shard %d: leaked blocks = %d, want %d", i, rs.LeakedBlocks, want)
+		}
+		if rs.LiveBlocks == 0 || rs.Roots == 0 {
+			t.Errorf("shard %d: live %d blocks under %d roots after attach", i, rs.LiveBlocks, rs.Roots)
+		}
+		total.LiveBlocks += rs.LiveBlocks
+		total.LeakedBlocks += rs.LeakedBlocks
+	}
+	if info.Stats.LiveBlocks != total.LiveBlocks || info.Stats.LeakedBlocks != total.LeakedBlocks {
+		t.Errorf("total %+v is not the per-shard sum %+v", info.Stats, total)
+	}
+	for i := 0; i < shards; i++ {
+		m, err := db2.Sharded().Shard(i).Map("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := m.Get(sKey(i)); !ok || binary.LittleEndian.Uint64(v) != uint64(i) {
+			t.Fatalf("shard %d lost its committed key", i)
+		}
 	}
 }

@@ -218,55 +218,6 @@ func (a *storeAttachment) finishOpen() (*Store, error) {
 	return &Store{dev: a.dev, heap: a.heap, tx: tx, batchRec: a.rec, sh: &storeShared{batchSeq: a.batchSeq}}, nil
 }
 
-// openStore attaches to a previously formatted device, rolling back any
-// interrupted commit transaction and garbage-collecting unreachable blocks
-// (recovery per §5.3). The reported stats include leak reclamation counts.
-// External callers go through Open with WithExistingImages (or
-// WithDevices plus WithAttach), which recovers the same way and reports
-// the result in a RecoveryInfo.
-func openStore(dev pmem.Backend) (*Store, alloc.RecoveryStats, error) {
-	s, rs, _, err := openStoreVerify(dev, verifyConfig{})
-	return s, rs, err
-}
-
-// openStoreVerify is OpenStore with the corruption-resilience phases
-// wired in (corrupt.go): verification runs after the reachability scan
-// and before selective navigation is rebuilt, so replay never runs over
-// a record chain that no longer verifies; without eager verification
-// the heap arms lazy on-read checks instead.
-func openStoreVerify(dev pmem.Backend, vc verifyConfig) (*Store, alloc.RecoveryStats, []DamagedRoot, error) {
-	a, err := attachStore(dev)
-	if err != nil {
-		return nil, alloc.RecoveryStats{}, nil, err
-	}
-	start := dev.LocalNs()
-	rs, err := a.heap.Recover()
-	if err != nil {
-		return nil, rs, nil, err
-	}
-	var (
-		damaged []DamagedRoot
-		skip    map[int]bool
-	)
-	if vc.verify {
-		damaged, skip = verifyHeap(a.heap, 0, vc.salvage)
-	}
-	replayed, err := rebuildSelectiveRoots(a.heap, skip)
-	if err != nil {
-		return nil, rs, damaged, err
-	}
-	if !vc.verify {
-		a.heap.ArmLazyVerify()
-	}
-	dev.NoteRecovery(replayed, dev.LocalNs()-start)
-	s, err := a.finishOpen()
-	if err != nil {
-		return nil, rs, damaged, err
-	}
-	quarantineDamage([]*Store{s}, damaged)
-	return s, rs, damaged, nil
-}
-
 func registerWalkers(heap *alloc.Heap) {
 	funcds.RegisterWalkers(heap)
 	heap.RegisterWalker(funcds.TagParent, walkParent)

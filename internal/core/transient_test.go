@@ -168,10 +168,11 @@ func TestTransientCrashMidEditNeverLeaks(t *testing.T) {
 		}
 
 		dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-		st2, rs, err := openStore(dev2)
+		db2, info, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 		if err != nil {
 			t.Fatalf("countdown %d: recovery: %v", countdown, err)
 		}
+		st2 := db2.Store()
 		m2, _ := st2.Map("m")
 		v2, _ := st2.Vector("v")
 
@@ -198,7 +199,7 @@ func TestTransientCrashMidEditNeverLeaks(t *testing.T) {
 				t.Fatalf("countdown %d: pre-batch vec[%d] = %d", countdown, i, got)
 			}
 		}
-		if rs.LeakedBlocks > 0 {
+		if info.Stats.LeakedBlocks > 0 {
 			sawLeaks = true
 		}
 		// The recovered store stays usable through the edit path.

@@ -347,10 +347,11 @@ func TestCrashMatrixCommitTiers(t *testing.T) {
 				dev.SetTracer(nil)
 
 				dev2 := pmem.NewFromImage(pmem.DefaultConfig(4<<20), tr.Image())
-				s2, _, err := openStore(dev2)
+				db2, _, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
 				if err != nil {
 					t.Fatalf("inj %d: recovery: %v", inj, err)
 				}
+				s2 := db2.Store()
 				m2, err := s2.Map("tier")
 				if err != nil {
 					t.Fatalf("inj %d: rebind: %v", inj, err)
