@@ -15,10 +15,13 @@
 // allocations from interrupted FASEs.
 //
 // Reclamation. Reference counts live in volatile memory and are rebuilt on
-// recovery, as §5.3 prescribes; they are atomic, so concurrent writers can
-// retain and release shared subtrees without locks. A block whose count
-// reaches zero is retired rather than freed, and becomes reusable only
-// once two conditions hold (see epoch.go):
+// recovery, as §5.3 prescribes. They sit in a flat, pointer-free table
+// indexed by payload address, one atomic counter per 8-byte word of heap
+// (refs.go), so concurrent writers retain and release shared subtrees
+// without locks, hashing or per-block allocations, and a zero count marks
+// an address that holds no live block. A block whose count reaches zero
+// is retired rather than freed, and becomes reusable only once two
+// conditions hold (see epoch.go):
 //
 //  1. a device fence has executed after the retirement, so the root swap
 //     that orphaned the block is durable and the durable image cannot
@@ -130,7 +133,7 @@ type heapShared struct {
 	end  pmem.Addr
 	free map[uint32][]pmem.Addr // stride -> header addrs
 
-	refs    *sync.Map // payload addr -> *atomic.Int32
+	refs    refTable // payload addr -> reference count
 	walkers [256]Walker
 
 	// runSlots mirrors the open-run table. A sealed slot's persistent
@@ -187,6 +190,7 @@ func Format(dev pmem.Backend) *Heap {
 	dev.FlushRange(0, heapBase)
 	dev.Sfence()
 	h.sh.top = heapBase
+	h.sh.refs.grow(heapBase)
 	return h
 }
 
@@ -214,7 +218,6 @@ func newHeap(dev pmem.Backend) *Heap {
 	sh := &heapShared{
 		end:  pmem.Addr(dev.Size()),
 		free: make(map[uint32][]pmem.Addr),
-		refs: &sync.Map{},
 	}
 	return &Heap{dev: dev, sh: sh}
 }
@@ -391,9 +394,7 @@ func (h *Heap) alloc(size int, tag uint8, volatile, flushHdr bool) pmem.Addr {
 func (h *Heap) registerBlock(hdr pmem.Addr, stride uint32) pmem.Addr {
 	sh := h.sh
 	payload := hdr + headerSize
-	cnt := &atomic.Int32{}
-	cnt.Store(1)
-	sh.refs.Store(payload, cnt)
+	sh.refs.slot(payload).Store(1)
 	sh.mu.Lock()
 	sh.stats.Allocs++
 	sh.stats.LiveBytes += uint64(stride)
@@ -417,6 +418,7 @@ func (h *Heap) bumpLocked(stride uint32) pmem.Addr {
 	}
 	hdr := sh.top
 	sh.top += pmem.Addr(stride)
+	sh.refs.grow(sh.top)
 	h.dev.WriteU64(offBumpTop, uint64(sh.top))
 	h.dev.Clwb(offBumpTop)
 	return hdr
@@ -523,17 +525,9 @@ func (h *Heap) Tag(payload pmem.Addr) uint8 {
 	return tag
 }
 
-// refCounter returns the atomic reference counter for payload, or nil.
-func (h *Heap) refCounter(payload pmem.Addr) *atomic.Int32 {
-	if c, ok := h.sh.refs.Load(payload); ok {
-		return c.(*atomic.Int32)
-	}
-	return nil
-}
-
 // RefCount returns the current reference count of the block (0 if unknown).
 func (h *Heap) RefCount(payload pmem.Addr) int32 {
-	if c := h.refCounter(payload); c != nil {
+	if c := h.sh.refs.slot(payload); c != nil {
 		return c.Load()
 	}
 	return 0
@@ -546,11 +540,14 @@ func (h *Heap) Retain(payload pmem.Addr) {
 	if payload == pmem.Nil {
 		return
 	}
-	c := h.refCounter(payload)
-	if c == nil {
-		panic(fmt.Sprintf("alloc: retain of untracked block %#x", uint64(payload)))
+	c := h.sh.refs.slot(payload)
+	if c != nil && c.Add(1) > 1 {
+		return
 	}
-	c.Add(1)
+	if c != nil {
+		c.Add(-1) // a zero count marks no live block: undo the increment
+	}
+	panic(fmt.Sprintf("alloc: retain of untracked block %#x", uint64(payload)))
 }
 
 // Release decrements the reference count; at zero the block and every
@@ -575,12 +572,13 @@ func (h *Heap) Release(payload pmem.Addr) {
 
 // decRef drops one reference and reports whether the count hit zero.
 func (h *Heap) decRef(payload pmem.Addr) bool {
-	c := h.refCounter(payload)
+	c := h.sh.refs.slot(payload)
 	if c == nil {
 		panic(fmt.Sprintf("alloc: release of untracked block %#x", uint64(payload)))
 	}
 	n := c.Add(-1)
 	if n < 0 {
+		c.Add(1)
 		panic(fmt.Sprintf("alloc: release of dead block %#x", uint64(payload)))
 	}
 	return n == 0
@@ -663,12 +661,13 @@ func (h *Heap) collectCascade(payload pmem.Addr, dead []pmem.Addr) []pmem.Addr {
 				if child == pmem.Nil {
 					return
 				}
-				c := h.refCounter(child)
+				c := h.sh.refs.slot(child)
 				if c == nil {
 					panic(fmt.Sprintf("alloc: cascade release of untracked block %#x", uint64(child)))
 				}
 				n := c.Add(-1)
 				if n < 0 {
+					c.Add(1)
 					panic(fmt.Sprintf("alloc: cascade release of dead block %#x", uint64(child)))
 				}
 				if n == 0 {
@@ -689,7 +688,7 @@ func (h *Heap) freeBlock(r retiredBlock) {
 	if c := sh.cache.Load(); c != nil {
 		c.invalidate(r.addr)
 	}
-	sh.refs.Delete(r.addr)
+	sh.refs.slot(r.addr).Store(0)
 	sh.mu.Lock()
 	sh.free[stride] = append(sh.free[stride], r.addr-headerSize)
 	sh.stats.Frees++

@@ -2,8 +2,6 @@ package alloc
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/mod-ds/mod/internal/pmem"
 )
@@ -27,7 +25,6 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 
 	sh := h.sh
 	h.resetCache()
-	sh.refs = &sync.Map{}
 	sh.free = make(map[uint32][]pmem.Addr)
 	sh.ebr.mu.Lock()
 	sh.ebr.retired = sh.ebr.retired[:0]
@@ -133,6 +130,8 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 		h.dev.Sfence()
 	}
 
+	sh.refs.reset(sh.top)
+
 	// Pass 2: mark from roots, rebuilding reference counts as the number
 	// of reachable parents (plus one per root-table reference).
 	//
@@ -152,8 +151,7 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 		if !ok {
 			return fmt.Errorf("alloc: recovery found pointer to non-block address %#x", uint64(payload))
 		}
-		cnt, _ := sh.refs.LoadOrStore(payload, &atomic.Int32{})
-		cnt.(*atomic.Int32).Add(1)
+		sh.refs.slot(payload).Add(1)
 		if !blocks[bi].marked {
 			blocks[bi].marked = true
 			if blocks[bi].vol {

@@ -174,15 +174,19 @@ type BenchServer struct {
 // tracks these rows' presence but never gates their values. The fence
 // and flush counts come from the same fence discipline the simulator
 // measures, making fences/op the portable column to eyeball across
-// backends.
+// backends. MsyncsPerFence and SyncKiBPerFence are taken over the run's
+// commit fences, leaving out the closing Sync: 1 by the backend's
+// one-sync rule, and the mean width of the span each msync covered.
 type BenchMmap struct {
-	Workload    string  `json:"workload"`
-	Ops         int     `json:"ops"`
-	ElapsedNs   float64 `json:"elapsed_ns"`  // wall-clock, unlike the simulated sweeps
-	OpsPerSec   float64 `json:"ops_per_sec"` // per wall-clock second
-	Fences      uint64  `json:"fences"`
-	Flushes     uint64  `json:"flushes"`
-	FencesPerOp float64 `json:"fences_per_op"`
+	Workload        string  `json:"workload"`
+	Ops             int     `json:"ops"`
+	ElapsedNs       float64 `json:"elapsed_ns"`  // wall-clock, unlike the simulated sweeps
+	OpsPerSec       float64 `json:"ops_per_sec"` // per wall-clock second
+	Fences          uint64  `json:"fences"`
+	Flushes         uint64  `json:"flushes"`
+	FencesPerOp     float64 `json:"fences_per_op"`
+	MsyncsPerFence  float64 `json:"msyncs_per_fence"`
+	SyncKiBPerFence float64 `json:"sync_kib_per_fence"`
 }
 
 // BenchContention is one writer count of the same-root contention sweep,
@@ -416,15 +420,7 @@ func BuildBenchDoc(scaleName string, scale Scale) (*BenchDoc, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench mmap %s: %w", workload, err)
 			}
-			doc.Mmap = append(doc.Mmap, BenchMmap{
-				Workload:    res.Workload,
-				Ops:         res.Ops,
-				ElapsedNs:   res.ElapsedNs,
-				OpsPerSec:   float64(res.Ops) / (res.ElapsedNs / 1e9),
-				Fences:      res.Fences,
-				Flushes:     res.Flushes,
-				FencesPerOp: float64(res.Fences) / float64(res.Ops),
-			})
+			doc.Mmap = append(doc.Mmap, mmapRow(res))
 		}
 	}
 	for _, shards := range GroupCommitShardCounts {

@@ -19,7 +19,12 @@ import (
 // gates their values, exactly like the server sweep. The fence and
 // flush counts are the same fence discipline the simulator measures;
 // comparing fences/op across the two backends is the honest check that
-// the ordering model transfers.
+// the ordering model transfers. Each row also carries the msyncs the
+// commit fences issued and the bytes they covered: one msync per fence
+// is the backend's rule (DESIGN.md §14), and the bytes show how wide the
+// noted span of a FASE runs on a real file. The closing Sync is left
+// out of those two columns: its fences may find nothing noted, and a
+// fence with nothing to write back issues no msync.
 
 // MmapWorkloads lists the structures the mmap sweep drives, in report
 // order.
@@ -32,6 +37,11 @@ type MmapBenchResult struct {
 	ElapsedNs float64 // wall-clock
 	Fences    uint64
 	Flushes   uint64
+	// CommitFences counts the fences before the closing Sync; Syncs and
+	// SyncBytes are the msync calls they issued and the bytes covered.
+	CommitFences uint64
+	Syncs        uint64
+	SyncBytes    uint64
 }
 
 // RunMmapBench runs ops operations of the named structure workload over
@@ -65,6 +75,7 @@ func RunMmapBench(workload string, ops int, dir string) (MmapBenchResult, error)
 	val := func(i int) []byte { return []byte(fmt.Sprintf("val-%08d", i)) }
 	start := time.Now()
 	before := dev.Stats()
+	syncs0, syncBytes0 := dev.Syncs()
 	switch workload {
 	case "map":
 		m, err := db.Map("bench")
@@ -109,14 +120,37 @@ func RunMmapBench(workload string, ops int, dir string) (MmapBenchResult, error)
 	default:
 		return res, fmt.Errorf("mmap bench: unknown workload %q", workload)
 	}
+	commitFences := dev.Stats().Fences - before.Fences
+	syncs, syncBytes := dev.Syncs()
 	db.Sync()
 	after := dev.Stats()
 	res = MmapBenchResult{
-		Workload:  workload,
-		Ops:       ops,
-		ElapsedNs: float64(time.Since(start).Nanoseconds()),
-		Fences:    after.Fences - before.Fences,
-		Flushes:   after.Flushes - before.Flushes,
+		Workload:     workload,
+		Ops:          ops,
+		ElapsedNs:    float64(time.Since(start).Nanoseconds()),
+		Fences:       after.Fences - before.Fences,
+		Flushes:      after.Flushes - before.Flushes,
+		CommitFences: commitFences,
+		Syncs:        syncs - syncs0,
+		SyncBytes:    syncBytes - syncBytes0,
 	}
 	return res, nil
+}
+
+// mmapRow converts a run into its BENCH.json row.
+func mmapRow(res MmapBenchResult) BenchMmap {
+	row := BenchMmap{
+		Workload:    res.Workload,
+		Ops:         res.Ops,
+		ElapsedNs:   res.ElapsedNs,
+		OpsPerSec:   float64(res.Ops) / (res.ElapsedNs / 1e9),
+		Fences:      res.Fences,
+		Flushes:     res.Flushes,
+		FencesPerOp: float64(res.Fences) / float64(res.Ops),
+	}
+	if res.CommitFences > 0 {
+		row.MsyncsPerFence = float64(res.Syncs) / float64(res.CommitFences)
+		row.SyncKiBPerFence = float64(res.SyncBytes) / 1024 / float64(res.CommitFences)
+	}
+	return row
 }

@@ -61,8 +61,8 @@ func unmapFile(data []byte) error {
 }
 
 // syncRange msyncs the page-aligned byte range covering lines
-// [startLn, endLn).
-func syncRange(data []byte, startLn, endLn uint64) error {
+// [startLn, endLn) and returns the bytes it covered.
+func syncRange(data []byte, startLn, endLn uint64) (uint64, error) {
 	ps := uint64(syscall.Getpagesize())
 	lo := (startLn << pmem.LineShift) &^ (ps - 1)
 	hi := ((endLn << pmem.LineShift) + ps - 1) &^ (ps - 1)
@@ -70,9 +70,9 @@ func syncRange(data []byte, startLn, endLn uint64) error {
 		hi = uint64(len(data))
 	}
 	if lo >= hi {
-		return nil
+		return 0, nil
 	}
-	return msync(data, uintptr(lo), uintptr(hi-lo))
+	return hi - lo, msync(data, uintptr(lo), uintptr(hi-lo))
 }
 
 func msync(data []byte, off, n uintptr) error {

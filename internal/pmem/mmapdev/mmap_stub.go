@@ -14,7 +14,7 @@ func mapFile(path string, size int64, create bool) ([]byte, error) {
 
 func unmapFile(data []byte) error { return nil }
 
-func syncRange(data []byte, startLn, endLn uint64) error { return nil }
+func syncRange(data []byte, startLn, endLn uint64) (uint64, error) { return 0, nil }
 
 // Plain little-endian word ops keep the stub compiling; no device is
 // ever constructed on these platforms.

@@ -8,12 +8,17 @@
 // future DAX/clwb path:
 //
 //   - Clwb is a no-op range note: the touched line joins a deduplicated
-//     dirty-line set (the FlushSet idiom, device-side).
-//   - Sfence is msync(MS_SYNC) over the page-aligned runs covering the
-//     noted lines, then clears the set. After Sfence returns, every
-//     previously noted line is on stable storage — the same
-//     "fence makes prior flushes durable" contract the simulator
-//     models, at page rather than line granularity.
+//     dirty-line set (the FlushSet idiom, device-side), and the set's
+//     lowest and highest line are kept beside it.
+//   - Sfence is one msync(MS_SYNC) over the page-aligned span from the
+//     lowest to the highest noted line, then clears the set. After
+//     Sfence returns, every previously noted line is on stable storage —
+//     the same "fence makes prior flushes durable" contract the
+//     simulator models, at page rather than line granularity. Pages
+//     inside the span that hold no noted line are written back early,
+//     which is what a cache eviction may do at any time anyway; the
+//     crash model already allows it (DESIGN.md §14). One ordering point
+//     costs one system call however the FASE's lines are scattered.
 //   - CasAddr (and all 8-byte reads/writes of aligned cells) uses real
 //     sync/atomic on the mapping, so the root-pointer publication race
 //     the optimistic commit path relies on is decided by the CPU, not
@@ -35,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,9 +60,9 @@ type devState struct {
 	data []byte // the live mapping (or heap arena when file-less)
 	path string
 
-	mu    sync.Mutex
-	noted map[uint64]struct{} // lines Clwb'd since the last Sfence
-	order []uint64
+	mu     sync.Mutex
+	noted  map[uint64]struct{} // lines Clwb'd since the last Sfence
+	lo, hi uint64              // lowest and highest noted line; valid when noted is non-empty
 
 	stats struct {
 		flushes      atomic.Uint64
@@ -75,6 +79,8 @@ type devState struct {
 		dramReads    atomic.Uint64
 		rebuiltNodes atomic.Uint64
 		recoveryNs   atomic.Uint64 // float64 bits
+		syncs        atomic.Uint64 // msync calls issued by Sfence
+		syncBytes    atomic.Uint64 // bytes those calls covered
 	}
 	scans  atomic.Int32
 	fences atomic.Uint64 // fence sequence (duplicated from stats for clarity)
@@ -291,15 +297,19 @@ func (d *Device) CasAddr(addr, old, v pmem.Addr) bool {
 
 // Clwb notes the line containing addr as needing writeback at the next
 // Sfence. No I/O happens here — the note set is the device-side
-// FlushSet: deduplicated, in first-note order.
+// FlushSet: deduplicated, with its lowest and highest line tracked.
 func (d *Device) Clwb(addr pmem.Addr) {
 	d.checkRange(addr, 1)
 	ln := uint64(addr) >> pmem.LineShift
 	d.s.stats.flushes.Add(1)
 	d.s.mu.Lock()
 	if _, ok := d.s.noted[ln]; !ok {
+		if len(d.s.noted) == 0 {
+			d.s.lo, d.s.hi = ln, ln
+		} else {
+			d.s.lo, d.s.hi = min(d.s.lo, ln), max(d.s.hi, ln)
+		}
 		d.s.noted[ln] = struct{}{}
-		d.s.order = append(d.s.order, ln)
 	}
 	d.s.mu.Unlock()
 	if t := d.Tracer(); t != nil {
@@ -320,29 +330,31 @@ func (d *Device) FlushRange(addr pmem.Addr, n int) {
 	}
 }
 
-// Sfence makes every noted line durable: msync(MS_SYNC) over the
-// page-aligned runs covering the noted set, then the note set clears.
-// Lines never noted are not synced — matching the clwb/sfence contract,
-// where an unflushed store may or may not survive a crash.
+// Sfence makes every noted line durable: one msync(MS_SYNC) over the
+// page-aligned span from the lowest to the highest noted line, then the
+// note set clears. Lines outside the span are not synced — matching the
+// clwb/sfence contract, where an unflushed store may or may not survive
+// a crash — and un-noted lines inside it persist early, as an eviction
+// could make them do. A fence with nothing noted issues no msync.
 func (d *Device) Sfence() {
 	d.s.mu.Lock()
-	n := len(d.s.order)
-	runs := lineRuns(d.s.order)
-	d.s.order = d.s.order[:0]
+	n := len(d.s.noted)
+	lo, hi := d.s.lo, d.s.hi
 	clear(d.s.noted)
 	d.s.mu.Unlock()
 
 	d.s.stats.fences.Add(1)
 	d.s.stats.flushedPer.Add(uint64(n))
-	if d.s.data != nil {
-		for _, run := range runs {
-			// A failed msync means the durability ack about to be issued
-			// would be a lie; there is no error channel in the Sfence
-			// contract, so fail loudly.
-			if err := syncRange(d.s.data, run[0], run[1]); err != nil {
-				panic(err)
-			}
+	if n > 0 && d.s.data != nil {
+		// A failed msync means the durability ack about to be issued
+		// would be a lie; there is no error channel in the Sfence
+		// contract, so fail loudly.
+		synced, err := syncRange(d.s.data, lo, hi+1)
+		if err != nil {
+			panic(err)
 		}
+		d.s.stats.syncs.Add(1)
+		d.s.stats.syncBytes.Add(synced)
 	}
 	d.s.fences.Add(1)
 	if t := d.Tracer(); t != nil {
@@ -350,27 +362,10 @@ func (d *Device) Sfence() {
 	}
 }
 
-// lineRuns merges sorted-after-the-fact line indices into [startLine,
-// endLine) runs so one msync covers each contiguous stretch.
-func lineRuns(order []uint64) [][2]uint64 {
-	if len(order) == 0 {
-		return nil
-	}
-	sorted := slices.Clone(order)
-	slices.Sort(sorted)
-	var runs [][2]uint64
-	start, end := sorted[0], sorted[0]+1
-	for _, ln := range sorted[1:] {
-		if ln == end || ln == end-1 {
-			if ln == end {
-				end++
-			}
-			continue
-		}
-		runs = append(runs, [2]uint64{start, end})
-		start, end = ln, ln+1
-	}
-	return append(runs, [2]uint64{start, end})
+// Syncs returns the number of msync calls Sfence has issued and the
+// bytes they covered. Each non-empty fence issues exactly one.
+func (d *Device) Syncs() (calls, bytes uint64) {
+	return d.s.stats.syncs.Load(), d.s.stats.syncBytes.Load()
 }
 
 // FenceSeq returns the number of Sfence calls executed on the device.
@@ -380,7 +375,7 @@ func (d *Device) FenceSeq() uint64 { return d.s.fences.Load() }
 func (d *Device) InflightLines() int {
 	d.s.mu.Lock()
 	defer d.s.mu.Unlock()
-	return len(d.s.order)
+	return len(d.s.noted)
 }
 
 // DirtyLines always reports 0: the mmap backend does not track

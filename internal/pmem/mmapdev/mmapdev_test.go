@@ -3,6 +3,7 @@ package mmapdev
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -109,45 +110,94 @@ func TestClwbSfenceNoteSet(t *testing.T) {
 	d.Sfence()
 }
 
-func TestLineRuns(t *testing.T) {
-	for _, tc := range []struct {
-		in   []uint64
-		want [][2]uint64
-	}{
-		{nil, nil},
-		{[]uint64{5}, [][2]uint64{{5, 6}}},
-		{[]uint64{7, 5, 6}, [][2]uint64{{5, 8}}},
-		{[]uint64{9, 2, 3, 8}, [][2]uint64{{2, 4}, {8, 10}}},
-		// Unsorted, with gaps of one line and more.
-		{[]uint64{40, 10, 30, 12, 20}, [][2]uint64{{10, 11}, {12, 13}, {20, 21}, {30, 31}, {40, 41}}},
-		// Duplicates inside and at the ends of a run.
-		{[]uint64{4, 4, 3, 5, 3, 5, 5}, [][2]uint64{{3, 6}}},
-		{[]uint64{9, 9}, [][2]uint64{{9, 10}}},
-		// Adjacent lines given in descending order join one run.
-		{[]uint64{104, 103, 102, 101, 100, 50}, [][2]uint64{{50, 51}, {100, 105}}},
-		// A run of many lines noted in scrambled order.
-		{scrambledLines(0, 300), [][2]uint64{{0, 300}}},
-	} {
-		got := lineRuns(tc.in)
-		if len(got) != len(tc.want) {
-			t.Fatalf("lineRuns(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("lineRuns(%v) = %v, want %v", tc.in, got, tc.want)
-			}
-		}
+func TestSfenceOneSync(t *testing.T) {
+	const size = 64 << 20
+	d, _ := devFor(t, size)
+	ps := uint64(os.Getpagesize())
+
+	// Lines scattered over page 0, a page far from it, and the last
+	// page: one msync covers them all, from page 0 to the end of the
+	// highest noted line's page.
+	hiAddr := pmem.Addr(size - pmem.LineSize)
+	for _, a := range []pmem.Addr{8, 3 * pmem.LineSize, pmem.Addr(1000 * ps), pmem.Addr(1000*ps) + 16, hiAddr} {
+		d.WriteU64(a, uint64(a)|1)
+		d.Clwb(a)
+	}
+	if got := d.InflightLines(); got != 4 {
+		t.Fatalf("InflightLines = %d, want 4", got)
+	}
+	d.Sfence()
+	calls, bytes := d.Syncs()
+	if calls != 1 {
+		t.Fatalf("scattered fence issued %d msyncs, want 1", calls)
+	}
+	if want := (uint64(hiAddr) + pmem.LineSize + ps - 1) &^ (ps - 1); bytes != want {
+		t.Fatalf("msync covered %d bytes, want %d (page 0 through the highest noted line)", bytes, want)
+	}
+	if s := d.Stats(); s.FlushedPerFence != 4 {
+		t.Fatalf("FlushedPerFence = %d, want 4", s.FlushedPerFence)
+	}
+
+	// A span that starts past page 0 starts at its lowest noted page.
+	lo := pmem.Addr(7*ps) + 2*pmem.LineSize
+	d.Clwb(lo + pmem.Addr(ps))
+	d.Clwb(lo)
+	d.Sfence()
+	calls, bytes2 := d.Syncs()
+	if calls != 2 || bytes2-bytes != 2*ps {
+		t.Fatalf("two-page fence: %d msyncs total, %d bytes, want 2 and %d", calls, bytes2-bytes, 2*ps)
+	}
+
+	// A fence with nothing noted issues no msync.
+	d.Sfence()
+	if c, _ := d.Syncs(); c != 2 {
+		t.Fatalf("empty fence issued an msync (%d calls, want 2)", c)
+	}
+	if got := d.FenceSeq(); got != 3 {
+		t.Fatalf("FenceSeq = %d, want 3", got)
 	}
 }
 
-// scrambledLines returns the lines [lo, hi) in a fixed non-monotonic
-// order.
-func scrambledLines(lo, hi uint64) []uint64 {
-	out := make([]uint64, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, lo+(i-lo)*7%(hi-lo))
+// BenchmarkSfenceSparseSpan measures the fence over two dirty lines at
+// opposite ends of a 1 GiB file: "one-span" is Sfence's single msync
+// over the whole span between them, "two-pages" the two page-sized
+// msyncs the per-run rule issued for the same lines.
+func BenchmarkSfenceSparseSpan(b *testing.B) {
+	const size = 1 << 30
+	path := filepath.Join(b.TempDir(), "arena.pm")
+	d, err := Create(path, size)
+	if errors.Is(err, ErrUnsupported) {
+		b.Skip("mmap backend unsupported on this platform")
 	}
-	return out
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	far := pmem.Addr(size - 2*os.Getpagesize())
+	dirty := func(i int) {
+		d.WriteU64(0, uint64(i))
+		d.WriteU64(far, uint64(i))
+	}
+	b.Run("one-span", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dirty(i)
+			d.Clwb(0)
+			d.Clwb(far)
+			d.Sfence()
+		}
+	})
+	b.Run("two-pages", func(b *testing.B) {
+		farLn := uint64(far) >> pmem.LineShift
+		for i := 0; i < b.N; i++ {
+			dirty(i)
+			if _, err := syncRange(d.s.data, 0, 1); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := syncRange(d.s.data, farLn, farLn+1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestCasAddrPublication(t *testing.T) {
